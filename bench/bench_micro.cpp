@@ -188,7 +188,9 @@ BENCHMARK(BM_AcceleratorBlock)->Arg(3)->Arg(4);
 // Times the three hot kernels (forward NTT, pointwise Barrett mul, lazy ksw
 // inner product) on EVERY backend usable on this machine and splices the
 // results into BENCH_hhe.json as "kernel_backends", so a regression in the
-// SIMD paths is visible next to the end-to-end transcipher numbers.
+// SIMD paths is visible next to the end-to-end transcipher numbers. The ksw
+// inner product is timed twice: one hot limb that fits in L2, and one whole
+// rotation at the serving shape, whose key rows stream from beyond L2.
 
 /// ns/op of `op`, timed until the sample is at least ~30 ms long.
 template <typename F>
@@ -233,9 +235,39 @@ void run_kernel_backend_comparison() {
     const char* kernel;
     std::vector<std::pair<std::string, double>> ns;  // backend -> ns/op
   };
+  // Serving shape: one hoisted rotation on the batched_test ring (n = 1024,
+  // 12 limbs x 36 digits, overwrite mode as in rotate_hoisted_into), cycling
+  // 16 distinct keys as one affine layer does. Timed in ns per rotation.
+  const std::size_t rn = 1024, limbs = 12, rnd = 36, nkeys = 16;
+  const auto primes = mod::ntt_prime_chain(limbs, 57, rn);
+  const std::vector<mod::Modulus> mods(primes.begin(), primes.end());
+  std::vector<std::uint64_t> rdig(limbs * rnd * rn);
+  std::vector<std::uint64_t> rkey(nkeys * limbs * 2 * rnd * rn);
+  std::vector<std::uint64_t> rout(2 * limbs * rn);
+  std::vector<const std::uint64_t*> rdig_p(limbs * rnd);
+  std::vector<const std::uint64_t*> rkb_p(nkeys * limbs * rnd);
+  std::vector<const std::uint64_t*> rka_p(nkeys * limbs * rnd);
+  for (std::size_t l = 0; l < limbs; ++l) {
+    for (std::size_t w = 0; w < rnd; ++w) {
+      std::uint64_t* row = rdig.data() + (l * rnd + w) * rn;
+      for (std::size_t i = 0; i < rn; ++i) row[i] = rng.below(primes[l]);
+      rdig_p[l * rnd + w] = row;
+      for (std::size_t k = 0; k < nkeys; ++k) {
+        const std::size_t at = (k * limbs + l) * rnd + w;
+        std::uint64_t* kbr = rkey.data() + 2 * at * rn;
+        std::uint64_t* kar = kbr + rn;
+        for (std::size_t i = 0; i < rn; ++i) {
+          kbr[i] = rng.below(primes[l]), kar[i] = rng.below(primes[l]);
+        }
+        rkb_p[at] = kbr, rka_p[at] = kar;
+      }
+    }
+  }
+
   std::vector<Row> rows = {{"ntt_4096", {}},
                            {"pointwise_mul_4096", {}},
-                           {"ksw_accumulate_4096x16", {}}};
+                           {"ksw_accumulate_4096x16", {}},
+                           {"ksw_rotation_1024_12x36_16keys", {}}};
   for (const kernels::Backend* bk : kernels::available_backends()) {
     // NTT output is < q < 4q, so feeding it back in is a legal steady state.
     std::vector<std::uint64_t> x = a;
@@ -252,6 +284,19 @@ void run_kernel_backend_comparison() {
                                                  dig_p.data(), kb_p.data(),
                                                  ka_p.data(), nd, n, nullptr,
                                                  m);
+                            }));
+    std::size_t key = 0;
+    rows[3].ns.emplace_back(bk->name(), time_ns_per_op([&] {
+                              key = (key + 1) % nkeys;
+                              for (std::size_t l = 0; l < limbs; ++l) {
+                                const std::size_t at = (key * limbs + l) * rnd;
+                                bk->ksw_accumulate(
+                                    rout.data() + 2 * l * rn,
+                                    rout.data() + (2 * l + 1) * rn,
+                                    rdig_p.data() + l * rnd, rkb_p.data() + at,
+                                    rka_p.data() + at, rnd, rn, nullptr,
+                                    mods[l], false, false);
+                              }
                             }));
   }
 

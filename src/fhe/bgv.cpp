@@ -803,16 +803,21 @@ void Bgv::mod_switch_to(Ciphertext& a, std::size_t level) const {
       const std::size_t last = cur - 1;
       const u64 qlast = ctx_.prime(last);
       const u64 qlast_half = qlast / 2;
-      const auto clast = part.rns(last);
+      // u = [c * t^{-1}]_{q_last} depends only on the coefficient, so it is
+      // computed once, in place over the limb about to be dropped.
+      const auto u_last = part.rns(last);
+      const auto& mlast = ctx_.mod(last);
+      for (auto& c : u_last) c = mlast.mul(c, lvl.t_inv_mod_qlast);
       for (std::size_t i = 0; i < last; ++i) {
         const auto& m = ctx_.mod(i);
         const u64 t_mod = params_.t % m.value();
         const u64 t_qlast_mod = m.mul(t_mod, qlast % m.value());
         auto ci = part.rns(i);
         for (std::size_t idx = 0; idx < ci.size(); ++idx) {
-          // u = [c * t^{-1}]_{q_last}, centered; delta = t * u.
-          const u64 u = ctx_.mod(last).mul(clast[idx], lvl.t_inv_mod_qlast);
-          u64 delta = m.mul(t_mod, u % m.value());
+          // u centered; delta = t * u = t * (u mod q_i), one wide Barrett
+          // reduction of the < 2^124 product instead of a division.
+          const u64 u = u_last[idx];
+          u64 delta = m.reduce128_barrett(u128{t_mod} * u);
           if (u > qlast_half) delta = m.sub(delta, t_qlast_mod);
           // c' = (c - delta) / q_last.
           ci[idx] = m.mul(m.sub(ci[idx], delta), lvl.qlast_inv[i]);

@@ -18,9 +18,6 @@
 
 #include <immintrin.h>
 
-#include <algorithm>
-#include <vector>
-
 #include "kernels/backend.hpp"
 
 namespace poe::kernels {
@@ -225,73 +222,28 @@ class Avx512Backend final : public Backend {
                       std::size_t nd, std::size_t n, const std::uint32_t* perm,
                       const mod::Modulus& m, bool seed0,
                       bool seed1) const override {
-    // Hoisted rotations permute the digit reads. Per-lane gathers turned
-    // out to cost the entire vector win on real silicon, so the shared
-    // permutation is materialized once per digit row into a reusable
-    // scratch slab and the inner product always runs contiguous. Reads
-    // and the flush schedule are unchanged, so outputs stay bit-identical.
-    if (perm != nullptr) {
-      static thread_local std::vector<u64> scratch;
-      static thread_local std::vector<const u64*> rows;
-      scratch.resize(nd * n);
-      rows.resize(nd);
-      for (std::size_t w = 0; w < nd; ++w) {
-        u64* dst = scratch.data() + w * n;
-        const u64* src = dig[w];
-        for (std::size_t i = 0; i < n; ++i) dst[i] = src[perm[i]];
-        rows[w] = dst;
-      }
-      ksw_accumulate(dst0, dst1, rows.data(), kb, ka, nd, n, nullptr, m,
-                     seed0, seed1);
-      return;
-    }
-    const u128 term_max = static_cast<u128>(m.value() - 1) * (m.value() - 1);
-    const std::size_t flush = std::max<std::size_t>(
-        1, static_cast<std::size_t>(
-               std::min<u128>(~static_cast<u128>(0) / term_max - 1,
-                              ~std::size_t{0})));
-    const Reduce128Vec rv(m);
-    const __m512i zero = _mm512_setzero_si512();
+    // Digit-major over L1-resident accumulator blocks (backend_impl.hpp);
+    // this is one digit row's pass over a block, 8 coefficients at a time.
     const __m512i one = bcast(1);
-    std::size_t idx = 0;
-    for (; idx + 8 <= n; idx += 8) {
-      __m512i acc0_lo = seed0 ? load8(dst0 + idx) : zero, acc0_hi = zero;
-      __m512i acc1_lo = seed1 ? load8(dst1 + idx) : zero, acc1_hi = zero;
-      std::size_t since = 0;
-      for (std::size_t w = 0; w < nd; ++w) {
-        const __m512i v = load8(dig[w] + idx);
-        __m512i phi, plo;
-        mul_epu64_full(v, load8(kb[w] + idx), phi, plo);
-        acc128_add(acc0_lo, acc0_hi, plo, phi, one);
-        mul_epu64_full(v, load8(ka[w] + idx), phi, plo);
-        acc128_add(acc1_lo, acc1_hi, plo, phi, one);
-        if (++since == flush) {
-          acc0_lo = rv.reduce(acc0_lo, acc0_hi);
-          acc1_lo = rv.reduce(acc1_lo, acc1_hi);
-          acc0_hi = acc1_hi = zero;
-          since = 0;
-        }
-      }
-      store8(dst0 + idx, rv.reduce(acc0_lo, acc0_hi));
-      store8(dst1 + idx, rv.reduce(acc1_lo, acc1_hi));
-    }
-    for (; idx < n; ++idx) {  // scalar tail, same schedule
-      u128 acc0 = seed0 ? dst0[idx] : 0;
-      u128 acc1 = seed1 ? dst1[idx] : 0;
-      std::size_t since = 0;
-      for (std::size_t w = 0; w < nd; ++w) {
-        const u128 v = dig[w][idx];
-        acc0 += v * kb[w][idx];
-        acc1 += v * ka[w][idx];
-        if (++since == flush) {
-          acc0 = m.reduce128_barrett(acc0);
-          acc1 = m.reduce128_barrett(acc1);
-          since = 0;
-        }
-      }
-      dst0[idx] = m.reduce128_barrett(acc0);
-      dst1[idx] = m.reduce128_barrett(acc1);
-    }
+    ksw_digit_major<8>(
+        *this, dst0, dst1, dig, kb, ka, nd, n, perm, m, seed0, seed1,
+        [one](u64* lo0, u64* hi0, u64* lo1, u64* hi1, detail::KswRows cur,
+              detail::KswRows next, std::size_t len) {
+          for (std::size_t j = 0; j < len; j += 8) {
+            prefetch_l2(next.d + j), prefetch_l2(next.b + j);
+            prefetch_l2(next.a + j);
+            const __m512i v = load8(cur.d + j);
+            __m512i phi, plo, acc_lo, acc_hi;
+            mul_epu64_full(v, load8(cur.b + j), phi, plo);
+            acc_lo = load8(lo0 + j), acc_hi = load8(hi0 + j);
+            acc128_add(acc_lo, acc_hi, plo, phi, one);
+            store8(lo0 + j, acc_lo), store8(hi0 + j, acc_hi);
+            mul_epu64_full(v, load8(cur.a + j), phi, plo);
+            acc_lo = load8(lo1 + j), acc_hi = load8(hi1 + j);
+            acc128_add(acc_lo, acc_hi, plo, phi, one);
+            store8(lo1 + j, acc_lo), store8(hi1 + j, acc_hi);
+          }
+        });
   }
 
   void permute(u64* dst, const u64* src, const std::uint32_t* perm,

@@ -118,6 +118,11 @@ class Backend {
   /// with the wide Barrett reduction before they can wrap — the flush
   /// schedule is an implementation detail; outputs are exact residues either
   /// way, so accumulate(dst=c) == add(c, overwrite()) bit-for-bit.
+  /// Loop order is an implementation detail too: the scalar reference runs
+  /// slot-major (all digits of one coefficient, then the next), the SIMD
+  /// backends digit-major over L1-resident blocks of coefficients so each
+  /// row streams through once (backend_impl.hpp). Only the order of the
+  /// same products and flushes changes, so outputs stay bit-identical.
   virtual void ksw_accumulate(std::uint64_t* dst0, std::uint64_t* dst1,
                               const std::uint64_t* const* dig,
                               const std::uint64_t* const* kb,

@@ -382,6 +382,84 @@ TEST(KernelKsw, OverwriteModeIgnoresDestinationGarbage) {
   }
 }
 
+TEST(KernelKsw, BlockBoundariesAndTailsInEverySeedMode) {
+  // The SIMD backends run the inner product digit-major over blocks of 1024
+  // coefficients, each block's vector part followed by a scalar tail under
+  // the vector width. These lengths end just before, on and just after one
+  // and two block boundaries, plus 4103: four full blocks and a block of 7
+  // coefficients that is all tail. At the 2^62 ceiling 22 digits force a
+  // flush inside every block.
+  Xoshiro256 rng(109);
+  const std::size_t nd = 22;
+  for (const u64 q : test_moduli(256)) {
+    const Modulus m(q);
+    for (const std::size_t n : {1023u, 1024u, 1025u, 2047u, 2049u, 4103u}) {
+      std::vector<std::vector<u64>> dig(nd), kb(nd), ka(nd);
+      std::vector<const u64*> dig_p(nd), kb_p(nd), ka_p(nd);
+      for (std::size_t w = 0; w < nd; ++w) {
+        dig[w].resize(n), kb[w].resize(n), ka[w].resize(n);
+        for (std::size_t i = 0; i < n; ++i) {
+          dig[w][i] = w == 0 ? q - 1 : rng.below(q);
+          kb[w][i] = w == 0 ? q - 1 : rng.below(q);
+          ka[w][i] = rng.below(q);
+        }
+        dig_p[w] = dig[w].data(), kb_p[w] = kb[w].data(),
+        ka_p[w] = ka[w].data();
+      }
+      std::vector<u32> perm(n);
+      std::iota(perm.begin(), perm.end(), 0u);
+      for (std::size_t i = n; i > 1; --i) {
+        std::swap(perm[i - 1], perm[rng.below(i)]);
+      }
+      std::vector<u64> seed0(n), seed1(n);
+      for (std::size_t i = 0; i < n; ++i) {
+        seed0[i] = rng.below(q);
+        seed1[i] = rng.below(q);
+      }
+      for (const u32* p : {static_cast<const u32*>(nullptr),
+                           static_cast<const u32*>(perm.data())}) {
+        // Naive sums with per-term reduction; each seed mode adds its seed.
+        std::vector<u64> sum0(n, 0), sum1(n, 0);
+        for (std::size_t i = 0; i < n; ++i) {
+          const std::size_t j = p != nullptr ? p[i] : i;
+          for (std::size_t w = 0; w < nd; ++w) {
+            sum0[i] = static_cast<u64>(
+                (u128{sum0[i]} + u128{dig[w][j]} * kb[w][i]) % q);
+            sum1[i] = static_cast<u64>(
+                (u128{sum1[i]} + u128{dig[w][j]} * ka[w][i]) % q);
+          }
+        }
+        // Accumulate, overwrite, and mixed (the apply_galois/ingest shape).
+        for (const auto& [acc0, acc1] : {std::pair{true, true},
+                                         std::pair{false, false},
+                                         std::pair{true, false}}) {
+          std::vector<u64> want0 = sum0, want1 = sum1;
+          for (std::size_t i = 0; i < n; ++i) {
+            if (acc0) want0[i] = m.add(want0[i], seed0[i]);
+            if (acc1) want1[i] = m.add(want1[i], seed1[i]);
+          }
+          for (const Backend* b : available_backends()) {
+            std::vector<u64> d0 = seed0, d1 = seed1;
+            for (std::size_t i = 0; i < n; ++i) {
+              if (!acc0) d0[i] = rng.next();  // overwrite mode: garbage
+              if (!acc1) d1[i] = rng.next();
+            }
+            b->ksw_accumulate(d0.data(), d1.data(), dig_p.data(),
+                              kb_p.data(), ka_p.data(), nd, n, p, m, acc0,
+                              acc1);
+            ASSERT_EQ(d0, want0)
+                << b->name() << " q=" << q << " n=" << n << " acc0=" << acc0
+                << " acc1=" << acc1 << " perm=" << (p != nullptr);
+            ASSERT_EQ(d1, want1)
+                << b->name() << " q=" << q << " n=" << n << " acc0=" << acc0
+                << " acc1=" << acc1 << " perm=" << (p != nullptr);
+          }
+        }
+      }
+    }
+  }
+}
+
 TEST(KernelPermute, PermuteAddBitIdentity) {
   // permute_add fuses the closing automorphism of a hoisted rotation with
   // the c0 addition: dst[i] = a[perm[i]] + b[perm[i]] mod q.
