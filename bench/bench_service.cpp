@@ -5,8 +5,9 @@
 // shared SIMD batches (per-tenant tile ranges, merged masked keys) and
 // overlaps plaintext-side batch preparation (SHAKE squeeze, rejection
 // sampling, matrix generation) with the BGV evaluation of the previous
-// batch — the software analogue of the paper's Fig. 3 schedule. At 8
-// clients x 4 blocks the packed batch is exactly full (32 tiles):
+// batch — the software analogue of the paper's Fig. 3 schedule. Every
+// client sends capacity / 8 blocks, so at 8 clients the packed batch is
+// exactly full (8 clients x 8 blocks = 64 tiles for PASTA-mini at n=1024):
 // occupancy 1.0 where per-client batching idled at 0.125.
 //
 // Two reference points anchor the numbers: the same 8-client workload with
@@ -313,8 +314,8 @@ int main(int argc, char** argv) {
     if (role == "--keymanager") return run_key_manager(std::atoi(argv[2]));
   }
   const auto config = hhe::HheConfig::batched_test();
-  const std::size_t blocks_per_client = 4;
   const std::vector<std::size_t> client_counts = {1, 2, 4, 8};
+  const std::size_t max_clients = client_counts.back();
 
   std::cout << "=== Multi-tenant transcipher service — " << config.pasta.name
             << ", BGV n=" << config.bgv.n << " ===\n";
@@ -327,10 +328,12 @@ int main(int argc, char** argv) {
       hhe::SimdBatchEngine::make_shared_rotation_keys(config, bgv);
   std::cout << "BGV keygen + rotation keys: " << fixed(seconds_since(t0), 2)
             << " s\n";
+  // The largest client count exactly fills one batch.
+  const std::size_t blocks_per_client =
+      hhe::SimdBatchEngine(config, bgv, simd_keys).capacity() / max_clients;
 
   // One key/cipher per client id (the same across all sweep points so the
   // sweep measures scheduling, not key material).
-  const std::size_t max_clients = client_counts.back();
   Xoshiro256 rng(42);
   std::vector<std::vector<std::uint64_t>> keys(max_clients);
   std::vector<pasta::PastaCipher> ciphers;

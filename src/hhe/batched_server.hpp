@@ -1,11 +1,12 @@
 // Client side of the batched (SIMD) transcipher path: the PASTA key upload.
 //
-// The 2t-element key is tiled periodically across the columns of the
-// 2 x (n/2) slot grid, so every 2t-column tile of the ONE uploaded
-// ciphertext holds the whole key. The server side (SimdBatchEngine) relies
-// on that: a column rotation by k then acts as a cyclic rotation of every
-// tile's state, and any subset of tiles can be masked out of the upload for
-// cross-tenant packing.
+// The 2t-element key is tiled periodically along both rows of the
+// 2 x (n/2) slot grid, so every 2t-slot tile of the ONE uploaded ciphertext
+// holds the whole key, in row 0 and row 1 alike. The server side
+// (SimdBatchEngine) relies on that: its tiles span both rows, a column
+// rotation by k rotates each row on its own (the rows never mix) and so acts
+// as a cyclic rotation of every tile's state, and any subset of tiles can be
+// masked out of the upload for cross-tenant packing.
 #pragma once
 
 #include <cstdint>

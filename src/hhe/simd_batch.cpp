@@ -10,6 +10,36 @@ namespace poe::hhe {
 namespace {
 using fhe::Ciphertext;
 using u64 = std::uint64_t;
+
+// The engine's one tile geometry. Tile m holds PASTA state element `off` at
+// logical position m*s + off of the row-major 2 x cols slot grid (s = 2t).
+// s divides cols, so each tile lies inside one row and the tiles fill row 0,
+// then row 1. Column rotations never mix the rows, so every tile-local
+// identity of the circuit holds in both rows alike.
+struct TileGrid {
+  std::size_t s;        // PASTA state size 2t
+  std::size_t per_row;  // tiles per slot-grid row, cols / s
+
+  explicit TileGrid(const HheConfig& config)
+      : s(config.pasta.state_size()), per_row(config.bgv.n / 2 / s) {
+    POE_ENSURE(per_row >= 1 && per_row * s == config.bgv.n / 2,
+               "ring too small: 2t must divide n/2 (2t=" << s << ", n="
+                                                         << config.bgv.n
+                                                         << ")");
+  }
+
+  std::size_t capacity() const { return 2 * per_row; }
+  std::size_t slots() const { return capacity() * s; }
+  /// Logical position of state element `off` of tile m.
+  std::size_t pos(std::size_t m, std::size_t off) const { return m * s + off; }
+  /// Position (row, col) of the wrap accumulator reads its in-row wrap
+  /// source (row, (col + s) mod cols), so tile m's wrap parts sit in the
+  /// tile before m in its row, cyclically.
+  std::size_t wrap_target(std::size_t m) const {
+    const std::size_t c = m % per_row;
+    return m - c + (c + per_row - 1) % per_row;
+  }
+};
 }  // namespace
 
 std::vector<long> SimdBatchEngine::rotation_steps(const HheConfig& config) {
@@ -41,35 +71,25 @@ SimdBatchEngine::SimdBatchEngine(
     : config_(config),
       bgv_(bgv),
       encoder_(config.bgv.n, config.bgv.t),
-      layout_(config.bgv.n, config.bgv.t) {
-  const std::size_t s = config_.pasta.state_size();
-  POE_ENSURE(layout_.cols() % s == 0,
-             "ring too small: 2t must divide n/2 (2t=" << s
-                                                       << ", n=" << config.bgv.n
-                                                       << ")");
+      layout_(config.bgv.n, config.bgv.t),
+      capacity_(TileGrid(config).capacity()) {
   POE_ENSURE(shared_keys != nullptr, "rotation keys must be non-null");
   rotation_keys_ = std::move(shared_keys);
-  capacity_ = layout_.cols() / s;
 }
 
-fhe::Plaintext SimdBatchEngine::encode_cols(
-    const std::vector<u64>& per_col) const {
-  const std::size_t cols = layout_.cols();
-  POE_ENSURE(per_col.size() == cols, "per-column vector has wrong size");
-  std::vector<u64> logical(2 * cols);
-  for (std::size_t col = 0; col < cols; ++col) {
-    logical[col] = per_col[col];
-    logical[cols + col] = per_col[col];
-  }
+fhe::Plaintext SimdBatchEngine::encode_grid(
+    const std::vector<u64>& logical) const {
+  POE_ENSURE(logical.size() == 2 * layout_.cols(),
+             "logical grid has wrong size");
   return encoder_.encode(layout_.to_slots(logical));
 }
 
 PreparedSimdBatch SimdBatchEngine::prepare(
     std::span<const SimdBlockRequest> requests) const {
   const auto& params = config_.pasta;
+  const TileGrid grid(config_);
   const std::size_t t = params.t;
-  const std::size_t s = 2 * t;
-  const std::size_t cols = layout_.cols();
+  const std::size_t s = grid.s;
   const std::size_t layers = params.rounds + 1;
   const std::size_t blocks = requests.size();
   POE_ENSURE(blocks >= 1 && blocks <= capacity_,
@@ -119,64 +139,63 @@ PreparedSimdBatch SimdBatchEngine::prepare(
   }
 
   // Mask-folded diagonals. Diagonal k of the tile-local matrix product
-  // (D_k(col) = M^{(tile)}(off, (off+k) mod s)) splits into the in-tile part
-  // A (off < s-k, read directly off rot_k(state)) and the wrap part B
+  // (D_k = M^{(tile)}(off, (off+k) mod s)) splits into the in-tile part A
+  // (off < s-k, read directly off rot_k(state)) and the wrap part B
   // (off >= s-k, logically read via rot_{k-s}); the wrap parts are
-  // pre-rotated by +s (uB(col) = (D_k*B_k)(col + s)) so every one of them
+  // pre-rotated by +s (stored at grid.wrap_target) so every one of them
   // applies to the SAME hoisted rot_k output and the whole wrap accumulator
-  // takes a single closing rotation by cols - s.
+  // takes a single closing rotation by cols - s. Only occupied tiles are
+  // visited; every other slot stays zero.
   batch.diags.resize(layers);
   batch.rc.resize(layers);
   for (std::size_t l = 0; l < layers; ++l) {
     batch.diags[l].resize(s);
     for (std::size_t k = 0; k < s; ++k) {
-      std::vector<u64> ua(cols, 0), ub(cols, 0);
+      std::vector<u64> ua(grid.slots(), 0), ub(grid.slots(), 0);
       bool any_a = false, any_b = false;
-      for (std::size_t col = 0; col < cols; ++col) {
-        {
-          const std::size_t m = col / s, off = col % s;
-          if (m < blocks && off + k < s) {
-            const u64 v = comp[m][l][off * s + off + k];
-            ua[col] = v;
-            any_a = any_a || v != 0;
-          }
+      for (std::size_t m = 0; m < blocks; ++m) {
+        const auto& M = comp[m][l];
+        for (std::size_t off = 0; off + k < s; ++off) {
+          const u64 v = M[off * s + off + k];
+          ua[grid.pos(m, off)] = v;
+          any_a = any_a || v != 0;
         }
-        {
-          const std::size_t src = (col + s) % cols;
-          const std::size_t m = src / s, off = src % s;
-          if (m < blocks && off + k >= s) {
-            const u64 v = comp[m][l][off * s + off + k - s];
-            ub[col] = v;
-            any_b = any_b || v != 0;
-          }
+        const std::size_t wrap = grid.wrap_target(m);
+        for (std::size_t off = s - k; off < s; ++off) {
+          const u64 v = M[off * s + off + k - s];
+          ub[grid.pos(wrap, off)] = v;
+          any_b = any_b || v != 0;
         }
       }
       auto& pair = batch.diags[l][k];
-      if (any_a) pair[0] = encode_cols(ua);
-      if (any_b) pair[1] = encode_cols(ub);
+      if (any_a) pair[0] = encode_grid(ua);
+      if (any_b) pair[1] = encode_grid(ub);
     }
-    std::vector<u64> rcv(cols, 0);
-    for (std::size_t col = 0; col < cols; ++col) {
-      const std::size_t m = col / s, off = col % s;
-      if (m < blocks) rcv[col] = crc[m][l][off];
+    std::vector<u64> rcv(grid.slots(), 0);
+    for (std::size_t m = 0; m < blocks; ++m) {
+      for (std::size_t off = 0; off < s; ++off) {
+        rcv[grid.pos(m, off)] = crc[m][l][off];
+      }
     }
-    batch.rc[l] = encode_cols(rcv);
+    batch.rc[l] = encode_grid(rcv);
   }
 
   // Feistel mask: kill the tile heads (offsets 0 and t — those state
   // elements take no shifted addend) and every unoccupied tile.
-  std::vector<u64> mask(cols, 0);
-  std::vector<u64> msg(cols, 0);
-  for (std::size_t col = 0; col < cols; ++col) {
-    const std::size_t m = col / s, off = col % s;
-    if (m >= blocks) continue;
-    if (off != 0 && off != t) mask[col] = 1;
-    if (off < batch.lens[m]) msg[col] = requests[m].symmetric_ct[off];
+  std::vector<u64> mask(grid.slots(), 0);
+  std::vector<u64> msg(grid.slots(), 0);
+  for (std::size_t m = 0; m < blocks; ++m) {
+    for (std::size_t off = 0; off < s; ++off) {
+      if (off != 0 && off != t) mask[grid.pos(m, off)] = 1;
+    }
+    for (std::size_t off = 0; off < batch.lens[m]; ++off) {
+      msg[grid.pos(m, off)] = requests[m].symmetric_ct[off];
+    }
   }
   batch.feistel_mask_ntt = fhe::RnsPoly::from_plaintext(
-      &bgv_.rns(), bgv_.top_level(), encode_cols(mask).coeffs,
+      &bgv_.rns(), bgv_.top_level(), encode_grid(mask).coeffs,
       /*to_ntt_form=*/true);
-  batch.message_plain = encode_cols(msg);
+  batch.message_plain = encode_grid(msg);
   return batch;
 }
 
@@ -333,13 +352,15 @@ Ciphertext SimdBatchEngine::evaluate(const Ciphertext& key_ct,
 
 fhe::Plaintext SimdBatchEngine::tile_mask(
     std::span<const std::size_t> tiles) const {
-  const std::size_t s = config_.pasta.state_size();
-  std::vector<u64> mask(layout_.cols(), 0);
+  const TileGrid grid(config_);
+  std::vector<u64> mask(grid.slots(), 0);
   for (const std::size_t tile : tiles) {
-    POE_ENSURE((tile + 1) * s <= layout_.cols(), "tile out of range");
-    for (std::size_t off = 0; off < s; ++off) mask[tile * s + off] = 1;
+    POE_ENSURE(tile < grid.capacity(), "tile out of range");
+    for (std::size_t off = 0; off < grid.s; ++off) {
+      mask[grid.pos(tile, off)] = 1;
+    }
   }
-  return encode_cols(mask);
+  return encode_grid(mask);
 }
 
 Ciphertext SimdBatchEngine::merge_tenant_keys(
@@ -378,13 +399,13 @@ std::vector<u64> SimdBatchEngine::decode_block(const HheConfig& config,
                                                const Ciphertext& ct,
                                                std::size_t tile,
                                                std::size_t len) {
-  const std::size_t s = config.pasta.state_size();
+  const TileGrid grid(config);
+  POE_ENSURE(tile < grid.capacity(), "tile out of range");
+  POE_ENSURE(len <= config.pasta.t, "len out of range");
   fhe::BatchEncoder encoder(config.bgv.n, config.bgv.t);
   fhe::SlotLayout layout(config.bgv.n, config.bgv.t);
-  POE_ENSURE((tile + 1) * s <= layout.cols(), "tile out of range");
-  POE_ENSURE(len <= config.pasta.t, "len out of range");
   const auto logical = layout.from_slots(encoder.decode(bgv.decrypt(ct)));
-  const auto begin = logical.begin() + static_cast<long>(tile * s);
+  const auto begin = logical.begin() + static_cast<long>(grid.pos(tile, 0));
   return {begin, begin + static_cast<long>(len)};
 }
 

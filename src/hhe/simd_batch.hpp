@@ -1,13 +1,18 @@
 // Batched (SIMD) homomorphic PASTA evaluation — the packing strategy the
-// original HHE framework [9] uses on the server — for up to cols/2t blocks
-// in a single BGV ciphertext.
+// original HHE framework [9] uses on the server — for up to n/2t blocks in
+// a single BGV ciphertext.
 //
-// The 2 x (n/2) slot grid is cut into cols/2t tiles of 2t columns each; tile
-// m carries the PASTA state of block m. Because every tile holds the SAME
-// key (encrypt_key_batched tiles the key periodically), one evaluation of
-// the keystream circuit produces cols/2t independent keystream blocks, each
-// under its own (nonce, counter) randomness — the diagonal values are
-// per-slot, so tile m simply uses block m's matrices and round constants.
+// The 2 x (n/2) slot grid is cut into n/2t tiles of 2t slots each: tile m
+// occupies logical positions [m*2t, (m+1)*2t) of the row-major grid, so the
+// tiles fill row 0 and then row 1, and tile m carries the PASTA state of
+// block m. 2t divides n/2, so no tile straddles the rows, and the column
+// rotations the circuit uses (Galois elements 3^k) rotate each row on its
+// own — the rows never mix, and every tile-local identity below holds in
+// both. Because every tile holds the SAME key (encrypt_key_batched tiles
+// the key periodically along both rows), one evaluation of the keystream
+// circuit produces n/2t independent keystream blocks, each under its own
+// (nonce, counter) randomness — the diagonal values are per-slot, so tile m
+// simply uses block m's matrices and round constants.
 // A lone block is served as the one-tile case of the same calls:
 // merge_tenant_keys({key, {0}}) -> evaluate -> extract_tiles({0}).
 //
@@ -105,7 +110,7 @@ class SimdBatchEngine {
   static std::shared_ptr<const fhe::GaloisKeys> make_shared_rotation_keys(
       const HheConfig& config, const fhe::Bgv& bgv);
 
-  /// Blocks per batch = cols / 2t.
+  /// Blocks per batch = n / 2t: tiles of both slot-grid rows.
   std::size_t capacity() const { return capacity_; }
   const fhe::SlotLayout& layout() const { return layout_; }
 
@@ -121,7 +126,7 @@ class SimdBatchEngine {
                            ServerReport* report = nullptr) const;
 
   /// Cross-tenant slot packing: restrict each tenant's tiled key to its
-  /// assigned tiles with a 0/1 column mask and sum, so tile m of the merged
+  /// assigned tiles with a 0/1 slot mask and sum, so tile m of the merged
   /// ciphertext holds exactly the key of the tenant owning tile m. Tiles
   /// owned by nobody end up with an all-zero key (their output tiles carry
   /// well-defined garbage that extract_tiles discards). Because the whole
@@ -145,9 +150,9 @@ class SimdBatchEngine {
                                                  std::size_t len);
 
  private:
-  /// Encode a per-column vector (duplicated into both slot-grid rows).
-  fhe::Plaintext encode_cols(const std::vector<std::uint64_t>& per_col) const;
-  /// 0/1 column mask selecting exactly the slots of `tiles`.
+  /// Encode a row-major 2 x cols logical grid.
+  fhe::Plaintext encode_grid(const std::vector<std::uint64_t>& logical) const;
+  /// 0/1 mask selecting exactly the slots of `tiles`.
   fhe::Plaintext tile_mask(std::span<const std::size_t> tiles) const;
 
   const HheConfig& config_;

@@ -486,7 +486,7 @@ TEST(TenantIsolationDifferential, PackedMatchesPerClientAndCoeffRaggedFills) {
         .symmetric_ct = sw.encrypt(msgs[c], 900 + c)});
   }
 
-  // Path 1: one packed cross-tenant batch (1 + 3 + 7 = 11 of 32 tiles).
+  // Path 1: one packed cross-tenant batch (1 + 3 + 7 = 11 of 64 tiles).
   service::ServiceReport packed_rep;
   std::vector<std::vector<u64>> via_packed(kTenants);
   {
@@ -615,6 +615,125 @@ TEST(TenantIsolationDifferential, IngestSwitchedTenantPacksWithNativeTenant) {
   }
   EXPECT_EQ(via_f, msg_f);
   EXPECT_EQ(via_n, msg_n);
+}
+
+// Tiles span both slot-grid rows, so co-packed tenants can share columns
+// and differ only in the row. Tenant A owns tile m of row 0 and tenant B
+// tile m + cols/2t — the same columns in row 1. A also owns the last tile of
+// row 0 and B the first of row 1, neighbours in the row-major grid; an
+// ingest-switched foreign-key tenant F holds row-1 tiles up to the last
+// one, whose wrap parts are stored in B's first tile. Every tenant must
+// decode what the coefficient-wise HheServer recovers, dropping B from the
+// merge must leave A's output unchanged, and each extraction must be zero
+// outside its owner's tiles in both rows.
+TEST(TenantIsolationDifferential, CrossRowTenantsShareColumnsWithoutLeaking) {
+  auto& sb = batched();
+  auto& sc = coeff();
+  ASSERT_EQ(sb.config.pasta.t, sc.config.pasta.t);
+  const std::size_t t = sb.config.pasta.t;
+  const u64 p = sb.config.pasta.p;
+  hhe::SimdBatchEngine engine(sb.config, sb.bgv, sb.simd_keys);
+  const std::size_t capacity = engine.capacity();
+  const std::size_t per_row = sb.layout.cols() / sb.config.pasta.state_size();
+  ASSERT_EQ(capacity, 2 * per_row);
+  Xoshiro256 rng(424242);
+
+  fhe::BgvParams foreign_params = sb.config.bgv;
+  foreign_params.seed = sb.config.bgv.seed + 17;
+  const fhe::Bgv foreign_bgv(foreign_params);
+
+  struct Tenant {
+    std::vector<std::size_t> tiles;
+    std::vector<u64> key;
+    fhe::Ciphertext key_ct;
+  };
+  const std::size_t m = 5;
+  std::vector<Tenant> tenants(3);
+  tenants[0].tiles = {m, per_row - 1};             // A, row 0
+  tenants[1].tiles = {m + per_row, per_row};       // B, row 1
+  tenants[2].tiles = {per_row + 9, capacity - 1};  // F, row 1, foreign key
+  for (auto& tenant : tenants) {
+    tenant.key = pasta::PastaCipher::random_key(sb.config.pasta, rng);
+  }
+  for (std::size_t c = 0; c < 2; ++c) {
+    tenants[c].key_ct = hhe::encrypt_key_batched(sb.config, sb.bgv, sb.encoder,
+                                                 sb.layout, tenants[c].key);
+  }
+  tenants[2].key_ct = sb.bgv.ingest_switch(
+      hhe::encrypt_key_batched(sb.config, foreign_bgv, sb.encoder, sb.layout,
+                               tenants[2].key),
+      sb.bgv.make_ingest_key(foreign_bgv));
+
+  // prepare() fills tiles 0..blocks-1, so every tile gets a request; the
+  // tiles nobody owns carry an all-zero merged key and are never read.
+  std::vector<hhe::SimdBlockRequest> reqs(capacity);
+  std::vector<std::vector<u64>> msgs(capacity);
+  for (std::size_t tile = 0; tile < capacity; ++tile) {
+    reqs[tile].nonce = 1000 + tile;
+    reqs[tile].counter = tile % 3;
+    reqs[tile].symmetric_ct.assign(t, 0);
+  }
+  for (const auto& tenant : tenants) {
+    pasta::PastaCipher sw(sb.config.pasta, tenant.key);
+    for (const std::size_t tile : tenant.tiles) {
+      const std::size_t len = tile == tenant.tiles.back() ? t - 3 : t;
+      msgs[tile] = random_msg(rng, p, len);
+      const auto ks = sw.keystream(reqs[tile].nonce, reqs[tile].counter);
+      reqs[tile].symmetric_ct.resize(len);
+      for (std::size_t i = 0; i < len; ++i) {
+        reqs[tile].symmetric_ct[i] = (msgs[tile][i] + ks[i]) % p;
+      }
+    }
+  }
+  const hhe::PreparedSimdBatch batch = engine.prepare(reqs);
+
+  auto evaluate_merged = [&](std::initializer_list<std::size_t> members) {
+    std::vector<hhe::TenantTiles> parts;
+    for (const std::size_t c : members) {
+      parts.push_back({&tenants[c].key_ct, tenants[c].tiles});
+    }
+    return engine.evaluate(engine.merge_tenant_keys(parts), batch);
+  };
+  auto logical = [&](const fhe::Ciphertext& ct) {
+    return sb.layout.from_slots(sb.encoder.decode(sb.bgv.decrypt(ct)));
+  };
+  const fhe::Ciphertext out = evaluate_merged({0, 1, 2});
+
+  for (std::size_t c = 0; c < tenants.size(); ++c) {
+    const auto& tenant = tenants[c];
+    const fhe::Ciphertext mine = engine.extract_tiles(out, tenant.tiles);
+    hhe::HheClient client(sc.config, sc.bgv, tenant.key);
+    hhe::HheServer server(sc.config, sc.bgv, client.encrypt_key());
+    for (const std::size_t tile : tenant.tiles) {
+      const auto via_packed = hhe::SimdBatchEngine::decode_block(
+          sb.config, sb.bgv, mine, tile, msgs[tile].size());
+      const auto via_coeff = client.decrypt_result(server.transcipher_block(
+          reqs[tile].symmetric_ct, reqs[tile].nonce, reqs[tile].counter));
+      EXPECT_EQ(via_packed, msgs[tile]) << "tenant " << c << " tile " << tile;
+      EXPECT_EQ(via_coeff, msgs[tile]) << "tenant " << c << " tile " << tile;
+    }
+
+    // Nothing outside the owner's tiles survives the extraction, in either
+    // row.
+    std::vector<bool> owned(capacity, false);
+    for (const std::size_t tile : tenant.tiles) owned[tile] = true;
+    const auto grid = logical(mine);
+    const std::size_t s = sb.config.pasta.state_size();
+    for (std::size_t pos = 0; pos < grid.size(); ++pos) {
+      if (!owned[pos / s]) {
+        ASSERT_EQ(grid[pos], 0u) << "tenant " << c << " leaks at row "
+                                 << pos / sb.layout.cols() << " col "
+                                 << pos % sb.layout.cols();
+      }
+    }
+  }
+
+  // A's whole output grid is a function of A's key and requests only:
+  // quarantining B (dropping it from the merge) must not move a single
+  // slot of it.
+  const fhe::Ciphertext out_without_b = evaluate_merged({0, 2});
+  EXPECT_EQ(logical(engine.extract_tiles(out_without_b, tenants[0].tiles)),
+            logical(engine.extract_tiles(out, tenants[0].tiles)));
 }
 
 }  // namespace

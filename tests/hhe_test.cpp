@@ -211,6 +211,45 @@ TEST_F(BatchedHhe, RejectsTooSmallRing) {
                poe::Error);
 }
 
+// Tiles span both rows of the 2 x (n/2) slot grid: n / 2t blocks per batch.
+TEST_F(BatchedHhe, CapacityCoversBothSlotRows) {
+  const auto no_keys = std::make_shared<const fhe::GaloisKeys>();
+  // 1024 / 16 (PASTA-mini), not the 512 / 16 of one row.
+  EXPECT_EQ(SimdBatchEngine(config_, bgv_, no_keys).capacity(), 64u);
+
+  const HheConfig demo = HheConfig::batched_demo();
+  const fhe::Bgv demo_bgv(demo.bgv);
+  // 1024 / 64 (PASTA-4).
+  EXPECT_EQ(SimdBatchEngine(demo, demo_bgv, no_keys).capacity(), 16u);
+}
+
+// The last tile of row 1 is addressable; one past it is rejected by the
+// tile mask (behind both merge and extraction) and by the client decode.
+TEST_F(BatchedHhe, TileIndexAtCapacityIsRejected) {
+  Xoshiro256 rng(15);
+  const auto key = pasta::PastaCipher::random_key(config_.pasta, rng);
+  const auto key_ct = upload(key);
+  SimdBatchEngine engine(config_, bgv_,
+                         std::make_shared<const fhe::GaloisKeys>());
+  const std::size_t cap = engine.capacity();
+  const std::vector<std::size_t> last{cap - 1}, past{cap};
+
+  EXPECT_NO_THROW(
+      engine.merge_tenant_keys(std::vector<TenantTiles>{{&key_ct, last}}));
+  EXPECT_THROW(
+      engine.merge_tenant_keys(std::vector<TenantTiles>{{&key_ct, past}}),
+      poe::Error);
+  EXPECT_NO_THROW(engine.extract_tiles(key_ct, last));
+  EXPECT_THROW(engine.extract_tiles(key_ct, past), poe::Error);
+
+  const std::size_t t = config_.pasta.t;
+  EXPECT_EQ(SimdBatchEngine::decode_block(config_, bgv_, key_ct, cap - 1, t),
+            std::vector<std::uint64_t>(key.begin(),
+                                       key.begin() + static_cast<long>(t)));
+  EXPECT_THROW(SimdBatchEngine::decode_block(config_, bgv_, key_ct, cap, 1),
+               poe::Error);
+}
+
 TEST_F(BatchedHhe, SharedRotationKeysMatchOwnedKeys) {
   Xoshiro256 rng(13);
   const auto key = pasta::PastaCipher::random_key(config_.pasta, rng);

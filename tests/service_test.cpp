@@ -321,6 +321,41 @@ TEST(TranscipherServiceTest, InterleavedTenantNonceReplayIsPerTenant) {
   EXPECT_EQ(rep2.faults.ok, 2u);
 }
 
+TEST(TranscipherServiceTest, SixtyFourBlocksFromFourTenantsAreOneBatch) {
+  // Tiles span both slot-grid rows, so one evaluation carries 64 blocks:
+  // four tenants' ragged messages fill both rows of a single batch.
+  auto service = make_service();
+  ASSERT_EQ(service.batch_capacity(), 64u);
+  const std::size_t t = stack().config.pasta.t;
+  const std::size_t kBlocksOf[] = {20, 17, 14, 13};
+  std::vector<TranscipherRequest> reqs;
+  std::vector<std::vector<u64>> msgs;
+  for (std::size_t c = 0; c < 4; ++c) {
+    const TestClient client(60 + c, 70 + c);
+    service.open_session(client.id, client.encrypted_key());
+    msgs.push_back(random_msg(kBlocksOf[c] * t - c, 80 + c));
+    reqs.push_back(client.request(1, msgs.back()));
+  }
+
+  ServiceReport report;
+  const auto results = service.process(reqs, &report);
+  EXPECT_EQ(report.blocks, 64u);
+  EXPECT_EQ(report.batches, 1u);
+  EXPECT_EQ(report.cross_tenant_batches, 1u);
+  EXPECT_DOUBLE_EQ(report.avg_batch_occupancy, 1.0);
+  std::vector<bool> tile_used(64, false);
+  for (std::size_t c = 0; c < 4; ++c) {
+    ASSERT_TRUE(results[c].ok()) << results[c].error;
+    ASSERT_EQ(results[c].blocks.size(), kBlocksOf[c]);
+    for (const auto& block : results[c].blocks) {
+      ASSERT_LT(block.tile, 64u);
+      tile_used[block.tile] = true;
+    }
+    EXPECT_EQ(decode_all(results[c]), msgs[c]) << "tenant " << c;
+  }
+  EXPECT_EQ(std::count(tile_used.begin(), tile_used.end(), true), 64);
+}
+
 TEST(TranscipherServiceTest, MaxBatchBlocksSplitsBatches) {
   auto service = make_service(ServiceConfig{.max_batch_blocks = 2});
   EXPECT_EQ(service.batch_capacity(), 2u);
