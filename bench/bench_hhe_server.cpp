@@ -31,14 +31,15 @@ std::string counter_line(const CounterSnapshot& ops) {
      << " automorphisms), " << ops.mod_switch
      << " mod switches, pool hit rate "
      << fixed(100.0 * ops.pool_hit_rate(), 1) << "% (" << ops.pool_misses
-     << " fresh allocations, " << ops.bytes_copied << " bytes copied)";
+     << " fresh allocations, " << ops.bytes_copied << " bytes copied), "
+     << ops.key_bytes_read << " key bytes read";
   return os.str();
 }
 
 // One benchmark record for BENCH_hhe.json. Carries the BgvParams the run
-// used plus the predicted-vs-measured budget slack, so the noise-budget CI
-// smoke (scripts/check_noise_budget.py) can pin both the safety band and
-// the soundness invariant predicted <= measured.
+// used plus the predicted-vs-measured budget slack, so the CI budget check
+// (scripts/check_budgets.py) can pin both the noise safety band and the
+// soundness invariant predicted <= measured.
 std::string json_record(const char* name, double seconds,
                         const fhe::BgvParams& params,
                         const hhe::ServerReport& rep) {
@@ -57,6 +58,7 @@ std::string json_record(const char* name, double seconds,
      << ", \"pool_misses\": " << ops.pool_misses
      << ", \"pool_hit_rate\": " << fixed(ops.pool_hit_rate(), 4)
      << ", \"bytes_copied\": " << ops.bytes_copied
+     << ", \"key_bytes_read\": " << ops.key_bytes_read
      << ", \"n\": " << params.n
      << ", \"num_primes\": " << params.num_primes
      << ", \"prime_bits\": " << params.prime_bits
@@ -169,7 +171,7 @@ int main() {
     };
     // Warm-up block first: the measured record then reflects the
     // steady-state serving loop (zero pool misses once every slab size
-    // class is cached — scripts/check_alloc_budget.py pins this).
+    // class is cached — scripts/check_budgets.py pins this).
     serve(nullptr);
     const CounterSnapshot before = bbgv.rns().exec().snapshot();
     t0 = Clock::now();

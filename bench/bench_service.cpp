@@ -25,6 +25,7 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -152,19 +153,32 @@ std::vector<std::uint64_t> pick_balanced_clients(std::size_t nshards,
   return ids;
 }
 
+/// Timed waves per multi-process point; each point reports the median. One
+/// wave's time swings too much on a shared host for the 2-shard floor to
+/// hold steady. On a 4-vCPU host the median of five still read 1.65x in one
+/// of six runs; the median of fifteen read 1.71-2.20x in thirteen.
+constexpr std::size_t kTimedWaves = 15;
+static_assert(kTimedWaves % 2 == 1, "odd, so the median is one wave");
+
 struct MpPoint {
   std::size_t shards = 0;
   std::size_t clients = 0;
   std::size_t blocks = 0;
-  std::size_t requests_ok = 0;
-  double total_s = 0;
-  double blocks_per_s = 0;
+  std::size_t requests_ok = 0;  ///< fewest ok requests in any timed wave
+  std::vector<double> wave_s;   ///< each timed wave's seconds, in run order
+  double total_s = 0;           ///< median of wave_s
+  double blocks_per_s = 0;      ///< blocks / total_s
 };
+
+double median(std::vector<double> v) {
+  std::nth_element(v.begin(), v.begin() + v.size() / 2, v.end());
+  return v[v.size() / 2];
+}
 
 /// One multi-process deployment: fork the key manager and `nshards` workers,
 /// onboard every client over the key-manager socket, run one untimed warm
-/// wave and one timed wave through a Router, verify every block round-trips,
-/// then shut the fleet down and reap it.
+/// wave and kTimedWaves timed waves (fresh nonces each) through a Router,
+/// verify every block round-trips, then shut the fleet down and reap it.
 ///
 /// Weak scaling: `n_clients` should be shard-count * clients-per-full-batch,
 /// so every shard evaluates FULL batches and the sweep measures aggregate
@@ -237,12 +251,18 @@ std::optional<MpPoint> run_multiprocess_point(
         }
       }
 
-      if (ok) {
-        const auto reqs = make_wave(81000);
+      MpPoint point;
+      point.shards = nshards;
+      point.clients = n_clients;
+      point.blocks = n_clients * blocks_per_client;
+      point.requests_ok = n_clients;
+      for (std::size_t wave = 0; wave < kTimedWaves && ok; ++wave) {
+        const auto reqs = make_wave(81000 + 1000 * wave);
         net::RouterReport report;
         const auto t0 = Clock::now();
         const auto results = router.process(reqs, &report);
-        const double total_s = seconds_since(t0);
+        point.wave_s.push_back(seconds_since(t0));
+        point.requests_ok = std::min(point.requests_ok, report.faults.ok);
         for (std::size_t c = 0; c < n_clients && ok; ++c) {
           if (!results[c].ok()) {
             std::cerr << "multiprocess: request degraded for client "
@@ -261,18 +281,12 @@ std::optional<MpPoint> run_multiprocess_point(
             ok = false;
           }
         }
-        if (ok) {
-          MpPoint point;
-          point.shards = nshards;
-          point.clients = n_clients;
-          point.blocks = n_clients * blocks_per_client;
-          point.requests_ok = report.faults.ok;
-          point.total_s = total_s;
-          point.blocks_per_s = double(point.blocks) / total_s;
-          out = point;
-        }
       }
-
+      if (ok) {
+        point.total_s = median(point.wave_s);
+        point.blocks_per_s = double(point.blocks) / point.total_s;
+        out = point;
+      }
     }
   } catch (const poe::Error& e) {
     std::cerr << "multiprocess: " << e.what() << "\n";
@@ -367,7 +381,7 @@ int main(int argc, char** argv) {
     }
     // Untimed warm-up wave: faults in every slab shape this client count
     // needs (per-tenant key merge included), so the measured wave reports
-    // STEADY-STATE counters — scripts/check_alloc_budget.py pins its pool
+    // STEADY-STATE counters — scripts/check_budgets.py pins its pool
     // misses at zero.
     std::vector<service::TranscipherRequest> warm_reqs;
     for (std::size_t c = 0; c < n; ++c) {
@@ -545,8 +559,9 @@ int main(int argc, char** argv) {
       mp.print(std::cout);
       std::cout << "2-shard scale-out: "
                 << fixed(mp_sweep[1].blocks_per_s / mp_sweep[0].blocks_per_s, 2)
-                << "x (scripts/check_shard_budget.py enforces the floor on "
-                   "multi-core hosts)\n";
+                << "x, median of " << kTimedWaves
+                << " waves per point (scripts/check_budgets.py enforces the "
+                   "floor on multi-core hosts)\n";
     } else {
       std::cerr << "multi-process sweep FAILED\n";
     }
@@ -603,6 +618,7 @@ int main(int argc, char** argv) {
            << ", \"hoisted_rotations\": " << r.exec_ops.hoisted_rotations
            << ", \"pool_misses\": " << r.exec_ops.pool_misses
            << ", \"bytes_copied\": " << r.exec_ops.bytes_copied
+           << ", \"key_bytes_read\": " << r.exec_ops.key_bytes_read
            << "}"
            << (i + 1 < sweep.size() ? ",\n" : "\n");
     }
@@ -633,8 +649,11 @@ int main(int argc, char** argv) {
       json << (i == 0 ? "\n" : ",\n")
            << "      {\"shards\": " << p.shards
            << ", \"clients\": " << p.clients << ", \"blocks\": " << p.blocks
-           << ", \"requests_ok\": " << p.requests_ok
-           << ", \"total_s\": " << fixed(p.total_s, 4)
+           << ", \"requests_ok\": " << p.requests_ok << ", \"wave_s\": [";
+      for (std::size_t w = 0; w < p.wave_s.size(); ++w) {
+        json << (w == 0 ? "" : ", ") << fixed(p.wave_s[w], 4);
+      }
+      json << "], \"total_s\": " << fixed(p.total_s, 4)
            << ", \"blocks_per_s\": " << fixed(p.blocks_per_s, 3) << "}";
     }
     json << "\n    ]";

@@ -40,6 +40,7 @@ struct CounterSnapshot {
   std::uint64_t pool_hits = 0;
   std::uint64_t pool_misses = 0;
   std::uint64_t bytes_copied = 0;
+  std::uint64_t key_bytes_read = 0;
 
   CounterSnapshot operator-(const CounterSnapshot& o) const {
     return CounterSnapshot{ntt_forward - o.ntt_forward,
@@ -52,7 +53,8 @@ struct CounterSnapshot {
                            hoisted_rotations - o.hoisted_rotations,
                            pool_hits - o.pool_hits,
                            pool_misses - o.pool_misses,
-                           bytes_copied - o.bytes_copied};
+                           bytes_copied - o.bytes_copied,
+                           key_bytes_read - o.key_bytes_read};
   }
 
   std::uint64_t ntts() const { return ntt_forward + ntt_inverse; }
@@ -77,6 +79,8 @@ struct OpCounters {
                                                     ///< a shared decomposition
   std::atomic<std::uint64_t> bytes_copied{0};  ///< whole-poly copy traffic
                                                ///< (RnsPoly copy ctor/assign)
+  std::atomic<std::uint64_t> key_bytes_read{0};  ///< key-switching key rows
+                                                 ///< the inner products read
 
   void bump(std::atomic<std::uint64_t>& c, std::uint64_t by = 1) {
     c.fetch_add(by, std::memory_order_relaxed);
@@ -139,6 +143,8 @@ class ExecContext {
     s.pool_hits = pool_.hits();
     s.pool_misses = pool_.misses();
     s.bytes_copied = counters_.bytes_copied.load(std::memory_order_relaxed);
+    s.key_bytes_read =
+        counters_.key_bytes_read.load(std::memory_order_relaxed);
     return s;
   }
 

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "common/bits.hpp"
 #include "common/error.hpp"
 #include "fhe/noise.hpp"
 #include "fhe/param_search.hpp"
@@ -112,15 +111,6 @@ BgvParams BgvParams::demo() {
                    .seed = 7};
 }
 
-BgvParams BgvParams::secure() {
-  return BgvParams{.n = 32768,
-                   .t = 65537,
-                   .num_primes = 11,
-                   .prime_bits = 45,
-                   .relin_digit_bits = 16,
-                   .seed = 7};
-}
-
 RnsPoly restrict_to_level(const RnsPoly& p, std::size_t level) {
   POE_ENSURE(level <= p.level(), "cannot extend a polynomial");
   RnsPoly out = RnsPoly::uninit(p.context(), level, p.is_ntt());
@@ -175,65 +165,62 @@ RnsPoly Bgv::sample_t_noise() const {
 KswKey Bgv::make_ksw_key(const RnsPoly& target_ntt) const {
   // For each prime j and digit d: b = -(a s) + t e + B^d q~_j target, where
   // q~_j's RNS image is the idempotent delta_ij — the target term only
-  // appears in component j, scaled by B^d.
+  // appears in component j, scaled by B^d. Rows are prime-major, the order
+  // decompose() emits digits in.
   const std::size_t top = ctx_.num_primes();
   const unsigned dbits = params_.relin_digit_bits;
+  const unsigned per_prime = (params_.prime_bits + dbits - 1) / dbits;
   KswKey out;
-  out.digits.resize(top);
+  out.rows.reserve(top * per_prime);
   for (std::size_t j = 0; j < top; ++j) {
-    const unsigned qbits = bit_width_u64(ctx_.prime(j));
-    const unsigned digits = (qbits + dbits - 1) / dbits;
-    for (unsigned d = 0; d < digits; ++d) {
-      KswKey::DigitKey key;
-      key.a = RnsPoly::sample_uniform(&ctx_, top, rng_, true);
-      key.b = key.a;
-      key.b.mul_inplace(s_ntt_).negate_inplace();
-      key.b.add_inplace(sample_t_noise());
-      {
-        const auto& m = ctx_.mod(j);
-        const u64 factor = m.pow(2, d * dbits);
-        auto dst = key.b.rns(j);
-        auto src = target_ntt.rns(j);
-        for (std::size_t idx = 0; idx < dst.size(); ++idx) {
-          dst[idx] = m.add(dst[idx], m.mul(factor, src[idx]));
-        }
+    const auto& m = ctx_.mod(j);
+    for (unsigned d = 0; d < per_prime; ++d) {
+      KswKey::Row row;
+      row.a = RnsPoly::sample_uniform(&ctx_, top, rng_, true);
+      row.b = row.a;
+      row.b.mul_inplace(s_ntt_).negate_inplace();
+      row.b.add_inplace(sample_t_noise());
+      const u64 factor = m.pow(2, d * dbits);
+      auto dst = row.b.rns(j);
+      auto src = target_ntt.rns(j);
+      for (std::size_t idx = 0; idx < dst.size(); ++idx) {
+        dst[idx] = m.add(dst[idx], m.mul(factor, src[idx]));
       }
-      out.digits[j].push_back(std::move(key));
+      out.rows.push_back(std::move(row));
     }
   }
   return out;
 }
 
-void Bgv::decompose(
-    const RnsPoly& input_coeff, std::vector<RnsPoly>& digits,
-    std::vector<std::pair<std::uint32_t, std::uint32_t>>& which) const {
-  POE_ENSURE(!input_coeff.is_ntt(), "ksw input must be in coefficient form");
-  const std::size_t level = input_coeff.level();
+HoistedCt Bgv::decompose(RnsPoly c0, RnsPoly c, const Ciphertext& from) const {
+  const std::size_t level = from.level;
+  HoistedCt h{.c0 = std::move(c0),
+              .digits = {},
+              .level = level,
+              .noise_bits = from.noise_bits,
+              .trace_id = from.trace_id};
+  c.from_ntt();
   const unsigned dbits = params_.relin_digit_bits;
+  // Every prime is below 2^prime_bits, so per_prime digits cover it; row w
+  // of every key pairs with digit w = j * per_prime + d.
+  const unsigned per_prime = (params_.prime_bits + dbits - 1) / dbits;
   const u64 mask = (u64{1} << dbits) - 1;
-  which.clear();
-  for (std::size_t j = 0; j < level; ++j) {
-    const unsigned qbits = bit_width_u64(ctx_.prime(j));
-    const unsigned nd = (qbits + dbits - 1) / dbits;
-    for (unsigned d = 0; d < nd; ++d) {
-      which.emplace_back(static_cast<std::uint32_t>(j), d);
-    }
-  }
-  digits.assign(which.size(), RnsPoly{});
+  h.digits.resize(level * per_prime);
   // Each digit is extracted and forward-transformed independently — this is
   // the dominant key-switch cost (2 NTTs per prime per level), so fan it out
   // over the thread pool. Each task writes only its own slot.
-  parallel_for(which.size(), [&](std::size_t w) {
-    const auto [j, d] = which[w];
-    const auto src = input_coeff.rns(j);
-    // Digit polynomial: ((input mod q_j) >> (d*dbits)) & mask, lifted to
-    // all active primes. The digit is < 2^dbits; when that is below every
-    // active prime (always, for the shipped parameter sets) the lift is
-    // the identity, so component 0 is computed once and copied.
+  parallel_for(h.digits.size(), [&](std::size_t w) {
+    const std::size_t j = w / per_prime;
+    const unsigned shift = static_cast<unsigned>(w % per_prime) * dbits;
+    const auto src = c.rns(j);
+    // Digit polynomial: ((c mod q_j) >> shift) & mask, lifted to all active
+    // primes. The digit is < 2^dbits; when that is below every active prime
+    // (always, for the shipped parameter sets) the lift is the identity, so
+    // component 0 is computed once and copied.
     RnsPoly dig = RnsPoly::uninit(&ctx_, level, false);
     auto first = dig.rns(0);
     for (std::size_t idx = 0; idx < first.size(); ++idx) {
-      first[idx] = (src[idx] >> (d * dbits)) & mask;
+      first[idx] = (src[idx] >> shift) & mask;
     }
     const bool first_exact = mask < ctx_.mod(0).value();
     for (std::size_t i = 0; i < level; ++i) {
@@ -243,56 +230,14 @@ void Bgv::decompose(
         if (i > 0) std::copy(first.begin(), first.end(), dst.begin());
       } else {
         for (std::size_t idx = 0; idx < dst.size(); ++idx) {
-          dst[idx] = ((src[idx] >> (d * dbits)) & mask) % m.value();
+          dst[idx] = ((src[idx] >> shift) & mask) % m.value();
         }
       }
     }
     dig.to_ntt();
-    digits[w] = std::move(dig);
+    h.digits[w] = std::move(dig);
   });
-}
-
-void Bgv::ksw_accumulate(
-    RnsPoly& out0, RnsPoly& out1, std::size_t level,
-    std::span<const RnsPoly> digits,
-    std::span<const std::pair<std::uint32_t, std::uint32_t>> which,
-    const KswKey& key, const std::uint32_t* perm, bool acc0,
-    bool acc1) const {
-  const std::size_t n = ctx_.n();
-  const std::size_t nd = digits.size();
-  auto& counters = ctx_.exec().counters();
-  counters.bump(counters.key_switch);
-  for (const auto& [j, d] : which) {
-    POE_ENSURE(j < key.digits.size() && d < key.digits[j].size(),
-               "missing ksw digits");
-  }
-  const auto& kern = ctx_.exec().kernels();
-  parallel_for(level, [&](std::size_t i) {
-    // The lazy 128-bit inner product (raw digit*key sums, one Barrett flush
-    // per slot) lives in the kernel backend. Key components live at the top
-    // level; only the first `level` of them are read. Hoist the per-digit
-    // span lookups out of the slot loop.
-    std::vector<const u64*> dig_ptr(nd), kb_ptr(nd), ka_ptr(nd);
-    for (std::size_t w = 0; w < nd; ++w) {
-      dig_ptr[w] = digits[w].rns(i).data();
-      const auto& dk = key.digits[which[w].first][which[w].second];
-      kb_ptr[w] = dk.b.rns(i).data();
-      ka_ptr[w] = dk.a.rns(i).data();
-    }
-    kern.ksw_accumulate(out0.rns(i).data(), out1.rns(i).data(),
-                        dig_ptr.data(), kb_ptr.data(), ka_ptr.data(), nd, n,
-                        perm, ctx_.mod(i), acc0, acc1);
-  });
-}
-
-void Bgv::apply_ksw(Ciphertext& ct, const RnsPoly& input_coeff,
-                    const KswKey& key) const {
-  POE_ENSURE(input_coeff.level() == ct.level, "ksw input level mismatch");
-  std::vector<RnsPoly> digits;
-  std::vector<std::pair<std::uint32_t, std::uint32_t>> which;
-  decompose(input_coeff, digits, which);
-  ksw_accumulate(ct.parts[0], ct.parts[1], ct.level, digits, which, key,
-                 nullptr, /*acc0=*/true, /*acc1=*/true);
+  return h;
 }
 
 namespace {
@@ -321,40 +266,11 @@ KswKey Bgv::make_galois_key(u64 galois_element,
   tau_s.to_ntt();
   KswKey key = make_ksw_key(tau_s);
   const u64 g_inv = inverse_mod_2n(galois_element, ctx_.n());
-  for (auto& prime_digits : key.digits) {
-    for (auto& dk : prime_digits) {
-      dk.b = dk.b.apply_automorphism_ntt(g_inv);
-      dk.a = dk.a.apply_automorphism_ntt(g_inv);
-    }
+  for (auto& row : key.rows) {
+    row.b = row.b.apply_automorphism_ntt(g_inv);
+    row.a = row.a.apply_automorphism_ntt(g_inv);
   }
   return key;
-}
-
-void Bgv::apply_galois_inplace(Ciphertext& a, u64 galois_element,
-                               const KswKey& key) const {
-  POE_ENSURE(a.size() == 2, "automorphism requires a 2-part ciphertext");
-  auto& counters = ctx_.exec().counters();
-  counters.bump(counters.automorphism);
-  // tau(ct) decrypts under tau(s); key-switch the c1 part back to s. tau
-  // distributes over the digit decomposition (the scale factors B^d q~_j
-  // are integers, fixed by tau), and the galois key is stored tau^-1
-  // -permuted, so the whole switch runs on the UNPERMUTED digits and tau is
-  // applied once to each finished output part (see make_galois_key).
-  RnsPoly c1 = std::move(a.parts[1]);
-  c1.from_ntt();
-  // c1's replacement is written in overwrite mode by the key switch (the
-  // decomposition sums into it with a zero seed), so skip the zero-fill.
-  a.parts[1] = RnsPoly::uninit(&ctx_, a.level, /*ntt_form=*/true);
-  std::vector<RnsPoly> digits;
-  std::vector<std::pair<std::uint32_t, std::uint32_t>> which;
-  decompose(c1, digits, which);
-  ksw_accumulate(a.parts[0], a.parts[1], a.level, digits, which, key,
-                 nullptr, /*acc0=*/true, /*acc1=*/false);
-  a.parts[0] = a.parts[0].apply_automorphism_ntt(galois_element);
-  a.parts[1] = a.parts[1].apply_automorphism_ntt(galois_element);
-  a.noise_bits = NoiseEstimator(params_).rotate(a.noise_bits, a.level);
-  a.trace_id = record_node(static_cast<std::uint8_t>(NoiseOp::kRotate),
-                           record_operand(a.trace_id), -1);
 }
 
 KswKey Bgv::make_ingest_key(const Bgv& tenant) const {
@@ -380,46 +296,25 @@ Ciphertext Bgv::ingest_switch(const Ciphertext& ct,
              "ingest switch: bad level");
   // Rebind both parts into this evaluator's context (the upload was built
   // over the same ring by the tenant's own Bgv, so the raw RNS data carries
-  // over verbatim); then c0 stays, c1 is key-switched from the tenant's
-  // secret onto ours — the exact shape of apply_galois_inplace with the
-  // identity automorphism.
+  // over verbatim); then c1 is key-switched from the tenant's secret onto
+  // ours with the identity automorphism.
+  RnsPoly c0 = RnsPoly::uninit(&ctx_, level, /*ntt_form=*/true);
   RnsPoly c1 = RnsPoly::uninit(&ctx_, level, /*ntt_form=*/true);
-  Ciphertext out;
-  out.level = level;
-  out.parts.push_back(RnsPoly::uninit(&ctx_, level, /*ntt_form=*/true));
   for (std::size_t i = 0; i < level; ++i) {
     const auto s0 = ct.parts[0].rns(i);
     const auto s1 = ct.parts[1].rns(i);
-    auto d0 = out.parts[0].rns(i);
-    auto d1 = c1.rns(i);
-    std::copy(s0.begin(), s0.end(), d0.begin());
-    std::copy(s1.begin(), s1.end(), d1.begin());
+    std::copy(s0.begin(), s0.end(), c0.rns(i).begin());
+    std::copy(s1.begin(), s1.end(), c1.rns(i).begin());
   }
-  c1.from_ntt();
-  out.parts.push_back(
-      RnsPoly::uninit(&ctx_, level, /*ntt_form=*/true));  // ksw overwrites
-  std::vector<RnsPoly> digits;
-  std::vector<std::pair<std::uint32_t, std::uint32_t>> which;
-  decompose(c1, digits, which);
-  ksw_accumulate(out.parts[0], out.parts[1], level, digits, which,
-                 ingest_key, nullptr, /*acc0=*/true, /*acc1=*/false);
-  out.noise_bits = NoiseEstimator(params_).relinearize(ct.noise_bits, level);
-  out.trace_id = record_node(static_cast<std::uint8_t>(NoiseOp::kIngest),
-                             record_operand(ct.trace_id), -1);
+  Ciphertext out;
+  key_switch(decompose(std::move(c0), std::move(c1), ct), nullptr, ingest_key,
+             1, out);
   return out;
 }
 
 HoistedCt Bgv::hoist(const Ciphertext& ct) const {
   POE_ENSURE(ct.size() == 2, "hoisting requires a 2-part ciphertext");
-  HoistedCt h;
-  h.level = ct.level;
-  h.noise_bits = ct.noise_bits;
-  h.trace_id = ct.trace_id;
-  h.c0 = ct.parts[0];
-  RnsPoly c1 = ct.parts[1];
-  c1.from_ntt();
-  decompose(c1, h.digits, h.digit_of);
-  return h;
+  return decompose(ct.parts[0], ct.parts[1], ct);
 }
 
 Bgv::HoistScratch& Bgv::lease_hoist_scratch() const {
@@ -450,7 +345,7 @@ void Bgv::release_hoist_scratch(HoistScratch& sc) const noexcept {
 /// doubles as a concurrent-aliasing detector: if two workers ever operate
 /// on the same scratch (a bug in the lease discipline), the second entrant
 /// observes a nonzero count and fails loudly instead of corrupting both
-/// rotations silently.
+/// key switches silently.
 class Bgv::ScratchLease {
  public:
   explicit ScratchLease(const Bgv& bgv)
@@ -475,6 +370,61 @@ class Bgv::ScratchLease {
   HoistScratch* sc_;
 };
 
+void Bgv::key_switch(const HoistedCt& h, const RnsPoly* c1, const KswKey& key,
+                     u64 g, Ciphertext& out) const {
+  const std::size_t n = ctx_.n();
+  const std::size_t level = h.level;
+  const std::size_t nd = h.digits.size();
+  POE_ENSURE(nd <= key.rows.size(), "key-switching key has too few rows");
+  auto& counters = ctx_.exec().counters();
+  counters.bump(counters.key_switch);
+  counters.bump(counters.key_bytes_read, nd * level * 2 * n * sizeof(u64));
+  if (g != 1) counters.bump(counters.automorphism);
+  // tau distributes over the decomposition (the B^d q~_j scale factors are
+  // integers, fixed by tau), so the inner product runs on the unpermuted
+  // digits against keys stored tau^-1-permuted (make_galois_key), and tau
+  // is applied once per output limb. It also folds over the addends for
+  // free: perm(c0 + sum) == perm(c0) + perm(sum). Nothing is read from
+  // `out`, so reusing it cannot change the result.
+  ScratchLease lease(*this);
+  HoistScratch& sc = *lease;
+  sc.acc0.reshape_uninit(&ctx_, level, /*ntt_form=*/true);
+  sc.acc1.reshape_uninit(&ctx_, level, /*ntt_form=*/true);
+  out.level = level;
+  out.parts.resize(2);
+  out.parts[0].reshape_uninit(&ctx_, level, /*ntt_form=*/true);
+  out.parts[1].reshape_uninit(&ctx_, level, /*ntt_form=*/true);
+  const auto perm = ctx_.galois_ntt_perm(g);
+  const auto& kern = ctx_.exec().kernels();
+  parallel_for(level, [&](std::size_t i) {
+    // The lazy 128-bit inner product (raw digit*key sums, one Barrett flush
+    // per slot) lives in the kernel backend. Key rows live at the top level;
+    // only the first `level` limbs of the first nd rows are read.
+    std::vector<const u64*> dig(nd), kb(nd), ka(nd);
+    for (std::size_t w = 0; w < nd; ++w) {
+      dig[w] = h.digits[w].rns(i).data();
+      kb[w] = key.rows[w].b.rns(i).data();
+      ka[w] = key.rows[w].a.rns(i).data();
+    }
+    const auto& m = ctx_.mod(i);
+    u64* acc0 = sc.acc0.rns(i).data();
+    u64* acc1 = sc.acc1.rns(i).data();
+    kern.ksw_accumulate(acc0, acc1, dig.data(), kb.data(), ka.data(), nd, n,
+                        nullptr, m, /*acc0=*/false, /*acc1=*/false);
+    kern.permute_add(out.parts[0].rns(i).data(), h.c0.rns(i).data(), acc0,
+                     perm.data(), n, m);
+    if (c1 != nullptr) {
+      kern.permute_add(out.parts[1].rns(i).data(), c1->rns(i).data(), acc1,
+                       perm.data(), n, m);
+    } else {
+      kern.permute(out.parts[1].rns(i).data(), acc1, perm.data(), n);
+    }
+  });
+  out.noise_bits = NoiseEstimator(params_).key_switch(h.noise_bits, level);
+  out.trace_id = record_node(static_cast<std::uint8_t>(NoiseOp::kKeySwitch),
+                             record_operand(h.trace_id), -1);
+}
+
 void Bgv::rotate_hoisted_into(const HoistedCt& hoisted, long step,
                               const GaloisKeys& keys, Ciphertext& out) const {
   const std::size_t n = ctx_.n();
@@ -483,45 +433,9 @@ void Bgv::rotate_hoisted_into(const HoistedCt& hoisted, long step,
   POE_ENSURE(s != 0, "rotate_hoisted_into requires a nonzero step");
   const auto it = keys.keys.find(s);
   POE_ENSURE(it != keys.keys.end(), "no rotation key for step " << s);
-  const u64 g = galois_elt_for_step(n, s);
   auto& counters = ctx_.exec().counters();
-  counters.bump(counters.automorphism);
   counters.bump(counters.hoisted_rotation);
-  // tau distributes over the decomposition (the B^d q~_j scale factors are
-  // integers, fixed by tau), so rotating the shared NTT-form digits inside
-  // the inner product yields a valid encryption of the rotated plaintext —
-  // without a single forward NTT. The galois key is stored tau^-1-permuted
-  // (make_galois_key), which moves the permutation off the nd digit rows
-  // and onto the two finished output parts: the inner product runs
-  // contiguously at full SIMD width in overwrite mode into leased scratch
-  // (no c0 copy, no zero-fill), and tau folds over c0 for free
-  // (perm(c0 + sum) == perm(c0) + perm(sum)) as one fused permute(-add)
-  // into out's reshaped slabs. Nothing is read from `out`, so reusing it
-  // cannot change the result — the differential suite pins reused == fresh
-  // bit for bit.
-  const std::size_t level = hoisted.level;
-  ScratchLease lease(*this);
-  HoistScratch& sc = *lease;
-  sc.acc0.reshape_uninit(&ctx_, level, /*ntt_form=*/true);
-  sc.acc1.reshape_uninit(&ctx_, level, /*ntt_form=*/true);
-  ksw_accumulate(sc.acc0, sc.acc1, level, hoisted.digits, hoisted.digit_of,
-                 it->second, nullptr, /*acc0=*/false, /*acc1=*/false);
-  out.level = level;
-  out.parts.resize(2);
-  out.parts[0].reshape_uninit(&ctx_, level, /*ntt_form=*/true);
-  out.parts[1].reshape_uninit(&ctx_, level, /*ntt_form=*/true);
-  const auto perm = ctx_.galois_ntt_perm(g);
-  const auto& kern = ctx_.exec().kernels();
-  parallel_for(level, [&](std::size_t i) {
-    kern.permute_add(out.parts[0].rns(i).data(), hoisted.c0.rns(i).data(),
-                     sc.acc0.rns(i).data(), perm.data(), n, ctx_.mod(i));
-    kern.permute(out.parts[1].rns(i).data(), sc.acc1.rns(i).data(),
-                 perm.data(), n);
-  });
-  out.noise_bits =
-      NoiseEstimator(params_).rotate(hoisted.noise_bits, hoisted.level);
-  out.trace_id = record_node(static_cast<std::uint8_t>(NoiseOp::kRotate),
-                             record_operand(hoisted.trace_id), -1);
+  key_switch(hoisted, nullptr, it->second, galois_elt_for_step(n, s), out);
 }
 
 GaloisKeys Bgv::make_rotation_keys(const std::vector<long>& steps) const {
@@ -551,15 +465,20 @@ void Bgv::rotate_columns_inplace(Ciphertext& a, long step,
   const long c = static_cast<long>(n / 2);
   const long s = ((step % c) + c) % c;
   if (s == 0) return;
+  POE_ENSURE(a.size() == 2, "rotation requires a 2-part ciphertext");
   const auto it = keys.keys.find(s);
   POE_ENSURE(it != keys.keys.end(), "no rotation key for step " << s);
-  apply_galois_inplace(a, galois_elt_for_step(n, s), it->second);
+  // c0 and c1 move into the pipeline; the finish writes fresh parts.
+  key_switch(decompose(std::move(a.parts[0]), std::move(a.parts[1]), a),
+             nullptr, it->second, galois_elt_for_step(n, s), a);
 }
 
 void Bgv::swap_rows_inplace(Ciphertext& a, const GaloisKeys& keys) const {
+  POE_ENSURE(a.size() == 2, "row swap requires a 2-part ciphertext");
   const auto it = keys.keys.find(GaloisKeys::kRowSwap);
   POE_ENSURE(it != keys.keys.end(), "no row-swap key");
-  apply_galois_inplace(a, 2 * ctx_.n() - 1, it->second);
+  key_switch(decompose(std::move(a.parts[0]), std::move(a.parts[1]), a),
+             nullptr, it->second, 2 * ctx_.n() - 1, a);
 }
 
 Ciphertext Bgv::encrypt(const Plaintext& pt) const {
@@ -773,13 +692,11 @@ Ciphertext Bgv::multiply_relin(const Ciphertext& a,
 void Bgv::relinearize_inplace(Ciphertext& a) const {
   if (a.size() == 2) return;
   POE_ENSURE(a.size() == 3, "unexpected ciphertext size");
-  RnsPoly c2 = a.parts[2];
-  c2.from_ntt();
-  a.parts.pop_back();
-  apply_ksw(a, c2, rlk_);
-  a.noise_bits = NoiseEstimator(params_).relinearize(a.noise_bits, a.level);
-  a.trace_id = record_node(static_cast<std::uint8_t>(NoiseOp::kRelinearize),
-                           record_operand(a.trace_id), -1);
+  // c2 is switched onto s with the identity automorphism; the finish adds
+  // the result to c0 and c1.
+  const RnsPoly c1 = std::move(a.parts[1]);
+  key_switch(decompose(std::move(a.parts[0]), std::move(a.parts[2]), a), &c1,
+             rlk_, 1, a);
 }
 
 void Bgv::mod_switch_inplace(Ciphertext& a) const {

@@ -22,8 +22,6 @@
 #include <map>
 #include <memory>
 #include <mutex>
-#include <span>
-#include <utility>
 #include <vector>
 
 #include "fhe/poly.hpp"
@@ -41,12 +39,8 @@ struct BgvParams {
   /// Tiny parameters for fast unit tests (depth ~2).
   static BgvParams toy();
   /// Parameters deep enough for homomorphic PASTA-4 decryption. NOTE:
-  /// demo-grade security (documented in EXPERIMENTS.md); use secure() for a
-  /// production-sized ring.
+  /// demo-grade security at n = 4096 (documented in EXPERIMENTS.md).
   static BgvParams demo();
-  /// Ring large enough to support the demo modulus at a conservative
-  /// security margin (slower; used by the opt-in e2e bench).
-  static BgvParams secure();
 };
 
 struct Plaintext {
@@ -69,16 +63,19 @@ struct Ciphertext {
   std::size_t size() const { return parts.size(); }
 };
 
-/// A key-switching key: for each RNS prime j and digit d, a pair
-/// (b, a) with b = -(a s) + t e + B^d q~_j target. Switches a ciphertext
-/// component known to multiply `target` onto the secret s. Generated at the
-/// top level; restricts to any lower level (the RNS idempotent q~_j has the
-/// level-independent image delta_ij).
+/// A key-switching key: for each RNS prime j and digit d, a row (b, a)
+/// with b = -(a s) + t e + B^d q~_j target. Switches a ciphertext component
+/// known to multiply `target` onto the secret s. Generated at the top level;
+/// restricts to any lower level (the RNS idempotent q~_j has the
+/// level-independent image delta_ij). Rows are flat and prime-major (every
+/// digit of prime 0, then of prime 1, ...), the order Bgv's decomposition
+/// emits digits in: row w pairs with digit w at every level, and a level-l
+/// switch reads the first rows, those of primes 0..l-1.
 struct KswKey {
-  struct DigitKey {
+  struct Row {
     RnsPoly b, a;  // top level, NTT form
   };
-  std::vector<std::vector<DigitKey>> digits;  // [prime][digit]
+  std::vector<Row> rows;
 };
 
 /// Rotation keys: column-rotation step -> key for tau_{3^step}(s); step -1
@@ -99,11 +96,9 @@ struct GaloisKeys {
 /// which closes the key inner product over the already-NTT digits and
 /// permutes the result.
 struct HoistedCt {
-  RnsPoly c0;                   ///< NTT form, at `level`
-  std::vector<RnsPoly> digits;  ///< NTT form, flattened over (prime, digit)
-  /// digit_of[w] = (prime j, digit d) identifying digits[w] and the matching
-  /// key-switching key entry.
-  std::vector<std::pair<std::uint32_t, std::uint32_t>> digit_of;
+  RnsPoly c0;  ///< NTT form, at `level`
+  /// NTT form, prime-major: digits[w] pairs with key row w (KswKey::rows).
+  std::vector<RnsPoly> digits;
   std::size_t level = 0;
   double noise_bits = 0.0;     ///< carried over from the hoisted ciphertext
   std::int32_t trace_id = -1;  ///< carried over (profile recording)
@@ -161,10 +156,9 @@ class Bgv {
 
   /// Digit-decompose a 2-part ciphertext once, so that any number of
   /// rotations of it can be served by rotate_hoisted_into at a fraction of
-  /// the usual cost. NOTE: a hoisted rotation is a different (equally
-  /// valid) encryption of the rotated plaintext than rotate_columns_inplace
-  /// produces — digit extraction does not commute with the automorphism's
-  /// coefficient sign flips — so compare decryptions, not ciphertext bits.
+  /// the usual cost. Every key switch runs this same decomposition, so
+  /// rotate_hoisted_into(hoist(ct), step) and rotate_columns_inplace(ct,
+  /// step) produce bit-identical ciphertexts.
   HoistedCt hoist(const Ciphertext& ct) const;
   /// Rotation by `step` (!= 0 mod n/2) from a hoisted decomposition, written
   /// into `out`: a key inner product over the shared digits, in overwrite
@@ -258,35 +252,32 @@ class Bgv {
   /// keys convert it once).
   KswKey make_galois_key(std::uint64_t galois_element,
                          const RnsPoly& s_coeff) const;
-  void apply_galois_inplace(Ciphertext& a, std::uint64_t galois_element,
-                            const KswKey& key) const;
-  /// parts[0] += sum_d digit_d(input) * b_d, parts[1] += ... * a_d, with
-  /// `input` in coefficient form at the ciphertext's level.
-  void apply_ksw(Ciphertext& ct, const RnsPoly& input_coeff,
-                 const KswKey& key) const;
-  /// Digit decomposition of `input_coeff`: digits[w] is the w-th digit
-  /// polynomial lifted to all active primes and forward-transformed;
-  /// which[w] = (prime, digit) names the matching key entry.
-  void decompose(const RnsPoly& input_coeff, std::vector<RnsPoly>& digits,
-                 std::vector<std::pair<std::uint32_t, std::uint32_t>>& which)
-      const;
-  /// The key inner product: out0/1 (+)= sum_w perm(digits[w]) * key_w,
-  /// accumulated lazily in 128 bits (one Barrett reduction per slot instead
-  /// of per digit) and parallelised over RNS components. `perm` (nullable)
-  /// applies an NTT-slot permutation to the digits on the fly. `acc0`/`acc1`
-  /// select accumulate vs overwrite mode per output (overwrite never reads
-  /// the destination, so reshaped-uninitialised scratch is a valid target).
-  void ksw_accumulate(
-      RnsPoly& out0, RnsPoly& out1, std::size_t level,
-      std::span<const RnsPoly> digits,
-      std::span<const std::pair<std::uint32_t, std::uint32_t>> which,
-      const KswKey& key, const std::uint32_t* perm, bool acc0,
-      bool acc1) const;
 
-  /// Reusable rotation scratch: the overwrite-mode key-switch outputs that
-  /// rotate_hoisted_into flushes into before the closing permute. Leased
-  /// (never shared) per call; the bank grows to the peak number of
-  /// concurrent rotations and then stops touching the pool.
+  // --- The one key-switch pipeline: decompose -> inner product -> finish.
+  // Every switch (relinearisation, both rotation paths, row swap, ingest)
+  // runs through these two functions.
+  /// Stage 1, the switched component's digit decomposition: takes c0 as is
+  /// and `c` (NTT form, at `from.level`) by value, and returns them as a
+  /// HoistedCt carrying `from`'s level, noise bound and tape node. Digit w
+  /// is ((c mod q_j) >> d*B) & (2^B - 1) for the w-th (prime j, digit d) in
+  /// prime-major order, lifted to every active prime and forward-
+  /// transformed.
+  HoistedCt decompose(RnsPoly c0, RnsPoly c, const Ciphertext& from) const;
+  /// Stages 2 and 3: the key inner product over h.digits, then the finish
+  ///   out = tau_g(h.c0 + <digits, key.b>, c1 + <digits, key.a>),
+  /// with c1 == nullptr read as zero (g = 1 for relinearisation and
+  /// ingest). Per RNS limb, the kernel inner product flushes into a leased
+  /// HoistScratch in overwrite mode, and one fused permute(-add) writes the
+  /// limb of out, whose parts are reshaped in place (no pool traffic once
+  /// warm). `out` must not alias h.c0 or *c1. Also sets out's level, noise
+  /// bound and tape node, and counts the switch.
+  void key_switch(const HoistedCt& h, const RnsPoly* c1, const KswKey& key,
+                  std::uint64_t g, Ciphertext& out) const;
+
+  /// Reusable key-switch scratch: the overwrite-mode inner-product outputs
+  /// the finish reads. Leased (never shared) per switch; the bank grows to
+  /// the peak number of concurrent switches and then stops touching the
+  /// pool.
   struct HoistScratch {
     RnsPoly acc0, acc1;
     std::atomic<bool> in_use{false};

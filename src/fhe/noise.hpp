@@ -50,8 +50,8 @@ class NoiseEstimator {
 
   double multiply(double a, double b) const { return a + b + log_n_ + 1.0; }
 
-  /// Key-switching additive term (relinearisation or rotation): the digit
-  /// decomposition contributes sum_w digit_w * (t e_w) with |digit_w| <
+  /// Key-switching additive term (relinearisation, rotation or ingest): the
+  /// digit decomposition contributes sum_w digit_w * (t e_w) with |digit_w| <
   /// 2^{bits_w} and |e_w| <= 2 (eta=2 key noise), so the coefficient bound
   /// is 2 t n sum_w 2^{bits_w} over the digits actually present at `level`
   /// — the top digit of each prime carries only prime_bits mod digit_bits
@@ -70,12 +70,10 @@ class NoiseEstimator {
            std::log2(static_cast<double>(level) * per_prime);
   }
 
-  double relinearize(double a, std::size_t level) const {
+  /// Bound after one key switch at `level` — the one formula for every
+  /// switch Bgv runs (they all share one pipeline).
+  double key_switch(double a, std::size_t level) const {
     return std::max(a, ksw_bound(level)) + 1.0;
-  }
-
-  double rotate(double a, std::size_t level) const {
-    return relinearize(a, level);
   }
 
   /// Bound after one fused diagonal accumulation: `terms` plaintext-times-
@@ -84,7 +82,7 @@ class NoiseEstimator {
   /// the rotated bound).
   double fused_affine(double state_noise, std::size_t level,
                       std::size_t terms) const {
-    return mul_plain(rotate(state_noise, level)) +
+    return mul_plain(key_switch(state_noise, level)) +
            std::log2(static_cast<double>(terms));
   }
 

@@ -136,15 +136,8 @@ SimResult simulate(const CircuitProfile& profile, const BgvParams& params,
         s.parts = 3;
         r.work += 4.0 * lvl * wm.n;
         break;
-      case NoiseOp::kRelinearize:
-        s.noise = est.relinearize(a->noise, a->level);
-        s.level = a->level;
-        s.parts = 2;
-        r.work += wm.key_switch(lvl);
-        break;
-      case NoiseOp::kRotate:
-      case NoiseOp::kIngest:
-        s.noise = est.rotate(a->noise, a->level);
+      case NoiseOp::kKeySwitch:
+        s.noise = est.key_switch(a->noise, a->level);
         s.level = a->level;
         s.parts = 2;
         r.work += wm.key_switch(lvl);

@@ -35,10 +35,11 @@
 
 namespace poe::fhe {
 
-/// Operation kinds mirrored by the noise replay. kFusedAffine covers the
-/// servers' raw-slab diagonal loops (terms plaintext-times-rotation
-/// products accumulated into one ciphertext); kIngest is the cross-domain
-/// key switch.
+/// Operation kinds mirrored by the noise replay. kKeySwitch is every key
+/// switch — relinearisation, rotation, row swap and cross-domain ingest run
+/// one pipeline with one noise formula. kFusedAffine covers the servers'
+/// raw-slab diagonal loops (terms plaintext-times-rotation products
+/// accumulated into one ciphertext).
 enum class NoiseOp : std::uint8_t {
   kFresh,
   kAdd,
@@ -47,9 +48,7 @@ enum class NoiseOp : std::uint8_t {
   kMulScalar,
   kMulPlain,
   kMultiply,
-  kRelinearize,
-  kRotate,
-  kIngest,
+  kKeySwitch,
   kFusedAffine,
 };
 

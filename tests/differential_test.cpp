@@ -300,33 +300,6 @@ TEST(SimdBatchDifferential, FullCapacityRoundTrip) {
 
 // ------------------------------------- hoisted == unhoisted rotation path
 
-TEST(HoistedRotationDifferential, AgreesWithUnhoistedAcrossStepsAndLevels) {
-  auto& s = batched();
-  Xoshiro256 rng(424242);
-  const auto logical = random_msg(rng, s.config.bgv.t, s.config.bgv.n);
-  auto ct = s.bgv.encrypt(s.encoder.encode(s.layout.to_slots(logical)));
-
-  for (int drop = 0; drop < 2; ++drop) {
-    if (drop == 1) s.bgv.mod_switch_inplace(ct);
-    const fhe::HoistedCt hoisted = s.bgv.hoist(ct);
-    for (const long step : hhe::SimdBatchEngine::rotation_steps(s.config)) {
-      fhe::Ciphertext unhoisted = ct;
-      s.bgv.rotate_columns_inplace(unhoisted, step, *s.simd_keys);
-      fhe::Ciphertext via_hoist;
-      s.bgv.rotate_hoisted_into(hoisted, step, *s.simd_keys, via_hoist);
-      // The two paths produce DIFFERENT ciphertext bits for the same
-      // plaintext (digit decomposition does not commute with the
-      // automorphism), so agreement is on decryptions, not parts.
-      EXPECT_EQ(s.bgv.decrypt(via_hoist).coeffs,
-                s.bgv.decrypt(unhoisted).coeffs)
-          << "step " << step << " drop " << drop;
-      EXPECT_GT(s.bgv.noise_budget_bits(via_hoist), 0.0) << "step " << step;
-    }
-  }
-}
-
-// ----------------------------- reused == freshly allocated rotation output
-
 namespace {
 ::testing::AssertionResult ciphertext_bits_equal(const fhe::Ciphertext& a,
                                                  const fhe::Ciphertext& b) {
@@ -355,11 +328,39 @@ namespace {
 }
 }  // namespace
 
+// Every key switch runs one decompose -> inner product -> finish pipeline,
+// so the unhoisted in-place rotation and the hoisted one give the same
+// ciphertext bits. The independent oracle for both is the plaintext slot
+// rotation: each must decrypt to SlotLayout::rotate_columns of the input.
+TEST(HoistedRotationDifferential, AgreesWithUnhoistedAcrossStepsAndLevels) {
+  auto& s = batched();
+  Xoshiro256 rng(424242);
+  const auto logical = random_msg(rng, s.config.bgv.t, s.config.bgv.n);
+  auto ct = s.bgv.encrypt(s.encoder.encode(s.layout.to_slots(logical)));
+
+  for (int drop = 0; drop < 2; ++drop) {
+    if (drop == 1) s.bgv.mod_switch_inplace(ct);
+    const fhe::HoistedCt hoisted = s.bgv.hoist(ct);
+    for (const long step : hhe::SimdBatchEngine::rotation_steps(s.config)) {
+      fhe::Ciphertext unhoisted = ct;
+      s.bgv.rotate_columns_inplace(unhoisted, step, *s.simd_keys);
+      fhe::Ciphertext via_hoist;
+      s.bgv.rotate_hoisted_into(hoisted, step, *s.simd_keys, via_hoist);
+      EXPECT_TRUE(ciphertext_bits_equal(via_hoist, unhoisted))
+          << "step " << step << " drop " << drop;
+      EXPECT_EQ(s.layout.from_slots(
+                    s.encoder.decode(s.bgv.decrypt(via_hoist))),
+                s.layout.rotate_columns(logical, step))
+          << "step " << step << " drop " << drop;
+      EXPECT_GT(s.bgv.noise_budget_bits(via_hoist), 0.0) << "step " << step;
+    }
+  }
+}
+
 // Ragged diagonal-loop lengths: a serving loop that touches 1, s-1 or s
 // diagonals (k = 0 never rotates) reuses ONE output ciphertext whatever
-// shape the previous loop left in it — including a slab one level up.
-// Unlike hoisted-vs-unhoisted (which only agree on decryptions), the reused
-// output must match a freshly allocated one on raw ciphertext words.
+// shape the previous loop left in it — including a slab one level up. The
+// reused output must match a freshly allocated one on raw ciphertext words.
 TEST(HoistedRotationDifferential, ReusedOutputSurvivesRaggedDiagonalCounts) {
   auto& s = batched();
   Xoshiro256 rng(626262);
@@ -385,8 +386,8 @@ TEST(HoistedRotationDifferential, ReusedOutputSurvivesRaggedDiagonalCounts) {
 }
 
 // Per kernel backend, at the top level and one level down: the hoisted
-// rotation must decrypt to the rotation the unhoisted reference computes,
-// and a reused output must match a fresh one bit for bit. Uses the smaller
+// rotation, a reused output and the unhoisted in-place rotation must agree
+// bit for bit and decrypt to the plaintext slot rotation. Uses the smaller
 // coefficient-config ring so three keygens stay cheap.
 TEST(HoistedRotationDifferential, AgreesWithUnhoistedOnEveryBackend) {
   const hhe::HheConfig config = hhe::HheConfig::test();
@@ -416,7 +417,10 @@ TEST(HoistedRotationDifferential, AgreesWithUnhoistedOnEveryBackend) {
 
         fhe::Ciphertext unhoisted = ct;
         bgv.rotate_columns_inplace(unhoisted, step, keys);
-        EXPECT_EQ(bgv.decrypt(out).coeffs, bgv.decrypt(unhoisted).coeffs)
+        EXPECT_TRUE(ciphertext_bits_equal(out, unhoisted))
+            << "step " << step << " drop " << drop;
+        EXPECT_EQ(layout.from_slots(encoder.decode(bgv.decrypt(out))),
+                  layout.rotate_columns(logical, step))
             << "step " << step << " drop " << drop;
       }
     }

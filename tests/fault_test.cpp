@@ -155,9 +155,10 @@ TEST(FaultDirected, AllocationFailureRecoversViaRetry) {
 }
 
 TEST(FaultDirected, HoistScratchAllocFailureRecoversViaRetry) {
-  // The scratch lease inside Bgv::rotate_hoisted_into fails mid-diagonal-
-  // loop (the site fires on the first k != 0 rotation of the first affine
-  // layer, after the accumulator and the k = 0 term are already built).
+  // The key switch's scratch lease fails mid-diagonal-loop (the site fires
+  // on the first switch of the batch: the first k != 0 hoisted rotation of
+  // the first affine layer, after the accumulator and the k = 0 term are
+  // already built).
   // The evaluate stage must surface it as a typed stage failure and
   // recover on retry — no UB from the half-filled accumulator, no torn
   // scratch left leased in the bank.

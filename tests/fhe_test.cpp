@@ -265,22 +265,6 @@ TEST(BgvPresets, DemoParametersSupportTheCircuitDepth) {
   }
 }
 
-TEST(BgvPresets, SecureParametersAreWellFormed) {
-  // Constructing the n = 2^15 ring is too slow for the default suite; check
-  // the preset's shape and that its prime chain exists.
-  const auto p = BgvParams::secure();
-  EXPECT_EQ(p.n, 32768u);
-  EXPECT_EQ(p.t, 65537u);
-  const auto chain =
-      mod::bgv_prime_chain(p.num_primes, p.prime_bits, p.n, p.t);
-  EXPECT_EQ(chain.size(), p.num_primes);
-  for (const auto q : chain) {
-    EXPECT_TRUE(mod::is_prime(q));
-    EXPECT_EQ((q - 1) % (2 * p.n), 0u);
-    EXPECT_EQ(q % p.t, 1u);
-  }
-}
-
 TEST(BatchEncoder, EncodeDecodeRoundtrip) {
   BatchEncoder enc(1024, 65537);
   const auto values = random_values(1024, 65537, 16);
@@ -598,7 +582,7 @@ TEST(NoiseEstimator, BoundIsSoundOverRandomCircuits) {
               est.budget(est.multiply(bound, bound), ct.level) < 10) break;
           ct = bgv.multiply_relin(ct, ct);
           bound = est.mod_switch(
-              est.relinearize(est.multiply(bound, bound), ct.level + 1));
+              est.key_switch(est.multiply(bound, bound), ct.level + 1));
           for (auto& v : expect) v = mt.mul(v, v);
           break;
         }

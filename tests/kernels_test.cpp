@@ -527,10 +527,11 @@ TEST(KernelDebugChecks, LazyBoundViolationsAreCaught) {
 #endif
 
 /// End-to-end: two complete BGV instances that differ ONLY in kernel
-/// backend must produce bit-identical ciphertexts through encrypt,
-/// tensor/relinearise (exercises the lazy ksw accumulate), and a hoisted
-/// rotation (exercises the overwrite-mode inner product and the fused
-/// permute(-add) path).
+/// backend must produce bit-identical ciphertexts through encrypt and
+/// every entry point of the one key-switch pipeline (the lazy inner
+/// product and the fused permute(-add) finish): tensor/relinearise, the
+/// hoisted and the in-place column rotation, the row swap and the
+/// cross-domain ingest switch.
 TEST(KernelEndToEnd, BgvCiphertextsBitIdenticalAcrossBackends) {
   const auto simd = simd_backends();
   if (simd.empty()) GTEST_SKIP() << "no SIMD backend on this host";
@@ -544,11 +545,25 @@ TEST(KernelEndToEnd, BgvCiphertextsBitIdenticalAcrossBackends) {
   for (std::size_t i = 0; i < params.n; ++i) {
     pt.coeffs[i] = (i * 7 + 3) % params.t;
   }
+  // A tenant in its own key domain over the same ring, for the ingest
+  // switch; its upload is shared by every backend.
+  auto tenant_params = params;
+  tenant_params.seed += 1;
+  const fhe::Bgv tenant(tenant_params, &scalar_exec);
+  const auto upload = tenant.encrypt(pt);
+
+  const std::vector<long> steps{1, fhe::GaloisKeys::kRowSwap};
   const auto ref_ct = ref.encrypt(pt);
   const auto ref_prod = ref.multiply_relin(ref_ct, ref_ct);
-  const auto ref_keys = ref.make_rotation_keys({1});
+  const auto ref_keys = ref.make_rotation_keys(steps);
   fhe::Ciphertext ref_rot;
   ref.rotate_hoisted_into(ref.hoist(ref_ct), 1, ref_keys, ref_rot);
+  auto ref_cols = ref_ct;
+  ref.rotate_columns_inplace(ref_cols, 1, ref_keys);
+  auto ref_swap = ref_ct;
+  ref.swap_rows_inplace(ref_swap, ref_keys);
+  const auto ref_ingest =
+      ref.ingest_switch(upload, ref.make_ingest_key(tenant));
 
   const auto expect_bits = [&](const fhe::Ciphertext& a,
                                const fhe::Ciphertext& b, const char* what,
@@ -572,10 +587,18 @@ TEST(KernelEndToEnd, BgvCiphertextsBitIdenticalAcrossBackends) {
     expect_bits(ct, ref_ct, "encrypt", b->name());
     expect_bits(bgv.multiply_relin(ct, ct), ref_prod, "multiply_relin",
                 b->name());
-    const auto keys = bgv.make_rotation_keys({1});
+    const auto keys = bgv.make_rotation_keys(steps);
     fhe::Ciphertext rot;
     bgv.rotate_hoisted_into(bgv.hoist(ct), 1, keys, rot);
     expect_bits(rot, ref_rot, "rotate_hoisted_into", b->name());
+    auto cols = ct;
+    bgv.rotate_columns_inplace(cols, 1, keys);
+    expect_bits(cols, ref_cols, "rotate_columns_inplace", b->name());
+    auto swap = ct;
+    bgv.swap_rows_inplace(swap, keys);
+    expect_bits(swap, ref_swap, "swap_rows_inplace", b->name());
+    expect_bits(bgv.ingest_switch(upload, bgv.make_ingest_key(tenant)),
+                ref_ingest, "ingest_switch", b->name());
     const auto dec = bgv.decrypt(ct);
     ASSERT_EQ(dec.coeffs, ref.decrypt(ref_ct).coeffs) << b->name();
   }
