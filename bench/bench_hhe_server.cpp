@@ -4,11 +4,13 @@
 // Default: the reduced PASTA-mini instance (t = 8, identical circuit
 // structure) so the whole suite stays fast. Set POE_FULL_HHE=1 to run the
 // full PASTA-4 transciphering (t = 32; takes on the order of a minute).
+#include <algorithm>
 #include <chrono>
 #include <cstdlib>
 #include <fstream>
 #include <iostream>
 #include <sstream>
+#include <thread>
 
 #include "common/table.hpp"
 #include "core/poe.hpp"
@@ -36,18 +38,35 @@ std::string counter_line(const CounterSnapshot& ops) {
   return os.str();
 }
 
+// What one timed transcipher leaves for its record: the ExecContext counter
+// delta over the call, and the worst budget over the ciphertexts that leave
+// the server — measured with the secret key and predicted from the tracked
+// bound.
+struct Served {
+  CounterSnapshot ops;
+  double noise_budget_bits = 1e9;
+  double predicted_budget_bits = 1e9;
+  std::size_t level = 0;
+
+  void add_output(const fhe::Bgv& bgv, const fhe::Ciphertext& ct) {
+    noise_budget_bits = std::min(noise_budget_bits, bgv.noise_budget_bits(ct));
+    predicted_budget_bits =
+        std::min(predicted_budget_bits, bgv.predicted_budget_bits(ct));
+    level = ct.level;
+  }
+};
+
 // One benchmark record for BENCH_hhe.json. Carries the BgvParams the run
 // used plus the predicted-vs-measured budget slack, so the CI budget check
 // (scripts/check_budgets.py) can pin both the noise safety band and the
 // soundness invariant predicted <= measured.
 std::string json_record(const char* name, double seconds,
-                        const fhe::BgvParams& params,
-                        const hhe::ServerReport& rep) {
-  const CounterSnapshot& ops = rep.exec_ops;
+                        const fhe::BgvParams& params, const Served& served) {
+  const CounterSnapshot& ops = served.ops;
   std::ostringstream os;
   os << "    {\"name\": \"" << name << "\", \"ns_per_op\": "
      << static_cast<std::uint64_t>(seconds * 1e9)
-     << ", \"ct_ct_mults\": " << rep.ct_ct_multiplications
+     << ", \"ct_ct_mults\": " << ops.ct_ct_mul
      << ", \"ntt_forward\": " << ops.ntt_forward
      << ", \"ntt_inverse\": " << ops.ntt_inverse
      << ", \"key_switches\": " << ops.key_switch
@@ -63,11 +82,11 @@ std::string json_record(const char* name, double seconds,
      << ", \"num_primes\": " << params.num_primes
      << ", \"prime_bits\": " << params.prime_bits
      << ", \"relin_digit_bits\": " << params.relin_digit_bits
-     << ", \"noise_budget_bits\": " << fixed(rep.min_noise_budget_bits, 1)
+     << ", \"noise_budget_bits\": " << fixed(served.noise_budget_bits, 1)
      << ", \"predicted_budget_bits\": "
-     << fixed(rep.predicted_min_budget_bits, 1)
+     << fixed(served.predicted_budget_bits, 1)
      << ", \"budget_slack_bits\": "
-     << fixed(rep.min_noise_budget_bits - rep.predicted_min_budget_bits, 1)
+     << fixed(served.noise_budget_bits - served.predicted_budget_bits, 1)
      << "}";
   return os.str();
 }
@@ -105,10 +124,13 @@ int main() {
   const auto sym_ct = client.encrypt(msg, nonce);
   const double sym_enc_s = seconds_since(t0);
 
-  hhe::ServerReport report;
+  Served coeff;
+  const CounterSnapshot coeff_before = bgv.rns().exec().snapshot();
   t0 = Clock::now();
-  const auto fhe_cts = server.transcipher_block(sym_ct, nonce, 0, &report);
+  const auto fhe_cts = server.transcipher_block(sym_ct, nonce, 0);
   const double transcipher_s = seconds_since(t0);
+  coeff.ops = bgv.rns().exec().snapshot() - coeff_before;
+  for (const auto& ct : fhe_cts) coeff.add_output(bgv, ct);
 
   const auto recovered = client.decrypt_result(fhe_cts);
   const bool ok = recovered == msg;
@@ -125,19 +147,18 @@ int main() {
              " B on the wire"});
   t.row({"Homomorphic PASTA decryption", "server",
          fixed(transcipher_s, 2) + " s, " +
-             std::to_string(report.ct_ct_multiplications) + " ct-ct mults, " +
-             std::to_string(report.scalar_multiplications) + " scalar mults"});
-  t.row({"Noise budget after circuit", "server",
-         fixed(report.min_noise_budget_bits, 1) + " bits at level " +
-             std::to_string(report.final_level)});
+             std::to_string(coeff.ops.ct_ct_mul) + " ct-ct mults"});
+  t.row({"Noise budget of the server output", "server",
+         fixed(coeff.noise_budget_bits, 1) + " bits at level " +
+             std::to_string(coeff.level)});
   t.row({"Client decrypts server output", "client",
          ok ? "matches the original message" : "MISMATCH"});
   t.print(std::cout);
-  std::cout << "exec counters: " << counter_line(report.exec_ops) << "\n";
+  std::cout << "exec counters: " << counter_line(coeff.ops) << "\n";
 
   // --- Batched (SIMD) engine, one block: the engine's one-tile serving
   // shape, which is what the service runs for a lone one-block request.
-  hhe::ServerReport brep;
+  Served one_tile;
   double bs = 0;
   const auto bcfg =
       full ? hhe::HheConfig::batched_demo() : hhe::HheConfig::batched_test();
@@ -164,37 +185,33 @@ int main() {
                                             .counter = 0,
                                             .symmetric_ct =
                                                 bclient.encrypt(msg, nonce)}});
-    auto serve = [&](hhe::ServerReport* rep) {
+    auto serve = [&] {
       return engine.extract_tiles(
-          engine.evaluate(engine.merge_tenant_keys(tenants), prepared, rep),
-          tile0);
+          engine.evaluate(engine.merge_tenant_keys(tenants), prepared), tile0);
     };
     // Warm-up block first: the measured record then reflects the
     // steady-state serving loop (zero pool misses once every slab size
     // class is cached — scripts/check_budgets.py pins this).
-    serve(nullptr);
+    serve();
+    // The record covers merge, evaluate and extract, and the trimmed
+    // deliverable the client receives.
     const CounterSnapshot before = bbgv.rns().exec().snapshot();
     t0 = Clock::now();
-    const fhe::Ciphertext bout = serve(&brep);
+    const fhe::Ciphertext bout = serve();
     bs = seconds_since(t0);
-    // evaluate() reports its own circuit and its untrimmed batch output;
-    // the record covers merge, evaluate and extract, and the trimmed
-    // deliverable the client receives.
-    brep.exec_ops = bbgv.rns().exec().snapshot() - before;
-    brep.final_level = bout.level;
-    brep.min_noise_budget_bits = bbgv.noise_budget_bits(bout);
-    brep.predicted_min_budget_bits = bbgv.predicted_budget_bits(bout);
+    one_tile.ops = bbgv.rns().exec().snapshot() - before;
+    one_tile.add_output(bbgv, bout);
     const auto bmsg =
         hhe::SimdBatchEngine::decode_block(bcfg, bbgv, bout, 0, msg.size());
     std::cout << "transcipher: " << fixed(bs, 2) << " s with "
-              << brep.ct_ct_multiplications << " ct-ct mults (vs "
-              << report.ct_ct_multiplications
+              << one_tile.ops.ct_ct_mul << " ct-ct mults (vs "
+              << coeff.ops.ct_ct_mul
               << " coefficient-wise) — key upload is 1 ciphertext instead of "
               << config.pasta.key_size() << "; result "
               << (bmsg == msg ? "matches" : "MISMATCH") << ", noise budget "
-              << fixed(brep.min_noise_budget_bits, 1) << " bits at level "
-              << brep.final_level << "\n";
-    std::cout << "exec counters: " << counter_line(brep.exec_ops) << "\n";
+              << fixed(one_tile.noise_budget_bits, 1) << " bits at level "
+              << one_tile.level << "\n";
+    std::cout << "exec counters: " << counter_line(one_tile.ops) << "\n";
   }
 
   // --- Multi-tenant service: the batched circuit amortised over a SIMD
@@ -263,17 +280,18 @@ int main() {
       const std::vector<hhe::TenantTiles> vtenants{{&vkey_ct, tile0}};
       const std::vector<hhe::SimdBlockRequest> vreqs{
           {.nonce = 1, .counter = 0, .symmetric_ct = vclient.encrypt(vmsg, 1)}};
-      hhe::ServerReport vrep;
+      const CounterSnapshot vbefore = vbgv.rns().exec().snapshot();
       t0 = Clock::now();
       const fhe::Ciphertext vout = vengine.extract_tiles(
           vengine.evaluate(vengine.merge_tenant_keys(vtenants),
-                           vengine.prepare(vreqs), &vrep),
+                           vengine.prepare(vreqs)),
           tile0);
       const double vs = seconds_since(t0);
+      const CounterSnapshot vops = vbgv.rns().exec().snapshot() - vbefore;
       const auto vgot = hhe::SimdBatchEngine::decode_block(vcfg, vbgv, vout,
                                                            0, vmsg.size());
       std::cout << "  " << vcfg.pasta.name << ": " << fixed(vs, 2) << " s, "
-                << vrep.ct_ct_multiplications << " ct-ct mults, "
+                << vops.ct_ct_mul << " ct-ct mults, "
                 << fixed(vs * 1000 / vcfg.pasta.t, 1)
                 << " ms per element transciphered, budget "
                 << fixed(vbgv.noise_budget_bits(vout), 0) << " bits — "
@@ -300,11 +318,13 @@ int main() {
     json << "{\n  \"config\": \"" << config.pasta.name << "\",\n"
          << "  \"kernel_backend\": \""
          << ExecContext::global().kernel_backend_name() << "\",\n"
+         << "  \"host_cores\": " << std::thread::hardware_concurrency()
+         << ",\n"
          << "  \"benchmarks\": [\n"
          << json_record("transcipher_block_coefficient", transcipher_s,
-                        config.bgv, report)
+                        config.bgv, coeff)
          << ",\n"
-         << json_record("transcipher_block_one_tile", bs, bcfg.bgv, brep)
+         << json_record("transcipher_block_one_tile", bs, bcfg.bgv, one_tile)
          << "\n"
          << "  ]\n}\n";
     std::cout << "(wrote BENCH_hhe.json)\n";

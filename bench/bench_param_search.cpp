@@ -37,13 +37,28 @@ double seconds_since(Clock::time_point begin) {
   return std::chrono::duration<double>(Clock::now() - begin).count();
 }
 
+// One live run of a searched config: its time and the worst budget over
+// the ciphertexts that leave the server, measured with the secret key and
+// predicted from the tracked bound.
+struct LiveRun {
+  double seconds = 0;  ///< one block (coefficient) or one full batch (SIMD)
+  double measured_budget = 1e9;
+  double predicted_budget = 1e9;
+  std::size_t level = 0;
+  bool decrypt_ok = false;
+
+  void add_output(const fhe::Bgv& bgv, const fhe::Ciphertext& ct) {
+    measured_budget = std::min(measured_budget, bgv.noise_budget_bits(ct));
+    predicted_budget =
+        std::min(predicted_budget, bgv.predicted_budget_bits(ct));
+    level = ct.level;
+  }
+};
+
 struct CaseResult {
   std::string name;
   fhe::SearchResult search;
-  double live_s = 0;  ///< one block (coefficient) or one full batch (SIMD)
-  double measured_budget = 0;
-  double predicted_budget = 0;
-  bool decrypt_ok = false;
+  LiveRun live;
   bool in_band = false;
   bool matches_checked_in = false;
 };
@@ -61,9 +76,8 @@ bool same_params(const fhe::BgvParams& a, const fhe::BgvParams& b) {
          a.relin_digit_bits == b.relin_digit_bits;
 }
 
-// Run one coefficient-wise transcipher block under `cfg`; returns seconds.
-double run_coefficient(const hhe::HheConfig& cfg, hhe::ServerReport& rep,
-                       bool& ok) {
+// Run one coefficient-wise transcipher block under `cfg`.
+LiveRun run_coefficient(const hhe::HheConfig& cfg) {
   fhe::Bgv bgv(cfg.bgv);
   Xoshiro256 rng(3);
   const auto key = pasta::PastaCipher::random_key(cfg.pasta, rng);
@@ -72,18 +86,18 @@ double run_coefficient(const hhe::HheConfig& cfg, hhe::ServerReport& rep,
   std::vector<std::uint64_t> msg(cfg.pasta.t);
   for (auto& m : msg) m = rng.below(cfg.pasta.p);
   const auto sym = client.encrypt(msg, /*nonce=*/5);
+  LiveRun run;
   const auto t0 = Clock::now();
-  const auto out = server.transcipher_block(sym, /*nonce=*/5, 0, &rep);
-  const double s = seconds_since(t0);
-  ok = client.decrypt_result(out) == msg;
-  return s;
+  const auto out = server.transcipher_block(sym, /*nonce=*/5, 0);
+  run.seconds = seconds_since(t0);
+  for (const auto& ct : out) run.add_output(bgv, ct);
+  run.decrypt_ok = client.decrypt_result(out) == msg;
+  return run;
 }
 
 // Run one full-capacity SIMD batch (one tenant owning every tile) under
-// `cfg`, warmed up; the report carries the worst extracted deliverable.
-// Returns seconds.
-double run_batched(const hhe::HheConfig& cfg, hhe::ServerReport& rep,
-                   bool& ok) {
+// `cfg`, warmed up, on its extracted deliverable.
+LiveRun run_batched(const hhe::HheConfig& cfg) {
   fhe::Bgv bgv(cfg.bgv);
   Xoshiro256 rng(3);
   const auto key = pasta::PastaCipher::random_key(cfg.pasta, rng);
@@ -109,27 +123,27 @@ double run_batched(const hhe::HheConfig& cfg, hhe::ServerReport& rep,
         sym.begin() + static_cast<long>((m + 1) * cfg.pasta.t));
   }
   const std::vector<hhe::TenantTiles> tenants{{&key_ct, all}};
-  auto serve = [&](hhe::ServerReport* r) {
+  auto serve = [&] {
     return engine.extract_tiles(
         engine.evaluate(engine.merge_tenant_keys(tenants),
-                        engine.prepare(reqs), r),
+                        engine.prepare(reqs)),
         all);
   };
-  serve(nullptr);  // warm-up
+  serve();  // warm-up
+  LiveRun run;
   const auto t0 = Clock::now();
-  const fhe::Ciphertext out = serve(&rep);
-  const double s = seconds_since(t0);
-  rep.min_noise_budget_bits = bgv.noise_budget_bits(out);
-  rep.predicted_min_budget_bits = bgv.predicted_budget_bits(out);
-  rep.final_level = out.level;
-  ok = true;
+  const fhe::Ciphertext out = serve();
+  run.seconds = seconds_since(t0);
+  run.add_output(bgv, out);
+  run.decrypt_ok = true;
   for (std::size_t m = 0; m < tiles; ++m) {
     const auto got =
         hhe::SimdBatchEngine::decode_block(cfg, bgv, out, m, cfg.pasta.t);
-    ok = ok && std::equal(got.begin(), got.end(),
-                          msg.begin() + static_cast<long>(m * cfg.pasta.t));
+    run.decrypt_ok &=
+        std::equal(got.begin(), got.end(),
+                   msg.begin() + static_cast<long>(m * cfg.pasta.t));
   }
-  return s;
+  return run;
 }
 
 CaseResult run_case(const std::string& name, const hhe::HheConfig& checked_in,
@@ -172,21 +186,17 @@ CaseResult run_case(const std::string& name, const hhe::HheConfig& checked_in,
   hhe::HheConfig searched = checked_in;
   searched.bgv = r.search.params;
   searched.bgv.t = checked_in.bgv.t;
-  hhe::ServerReport rep;
-  r.live_s = batched ? run_batched(searched, rep, r.decrypt_ok)
-                     : run_coefficient(searched, rep, r.decrypt_ok);
-  r.measured_budget = rep.min_noise_budget_bits;
-  r.predicted_budget = rep.predicted_min_budget_bits;
-  r.in_band =
-      r.measured_budget >= c.band_low && r.measured_budget <= c.band_high;
-  std::cout << "live: " << fixed(r.live_s, 3) << " s per "
+  r.live = batched ? run_batched(searched) : run_coefficient(searched);
+  r.in_band = r.live.measured_budget >= c.band_low &&
+              r.live.measured_budget <= c.band_high;
+  std::cout << "live: " << fixed(r.live.seconds, 3) << " s per "
             << (batched ? "full batch" : "block") << ", measured budget "
-            << fixed(r.measured_budget, 1) << " bits at level "
-            << rep.final_level << " (predicted "
-            << fixed(r.predicted_budget, 1) << ", band ["
+            << fixed(r.live.measured_budget, 1) << " bits at level "
+            << r.live.level << " (predicted "
+            << fixed(r.live.predicted_budget, 1) << ", band ["
             << fixed(c.band_low, 0) << ", " << fixed(c.band_high, 0) << "] "
             << (r.in_band ? "OK" : "OUT OF BAND") << "), decrypt "
-            << (r.decrypt_ok ? "OK" : "MISMATCH") << "\n";
+            << (r.live.decrypt_ok ? "OK" : "MISMATCH") << "\n";
   return r;
 }
 
@@ -227,14 +237,15 @@ int main() {
            << ", \"log_q\": " << fixed(r.search.log_q, 0)
            << ", \"security_cap\": " << fixed(r.search.security_cap, 0)
            << ", \"mod_switches\": " << r.search.sim.mod_switches
-           << ", \"predicted_budget_bits\": " << fixed(r.predicted_budget, 1)
-           << ", \"noise_budget_bits\": " << fixed(r.measured_budget, 1)
-           << ", \"live_s\": " << fixed(r.live_s, 4)
+           << ", \"predicted_budget_bits\": "
+           << fixed(r.live.predicted_budget, 1)
+           << ", \"noise_budget_bits\": " << fixed(r.live.measured_budget, 1)
+           << ", \"live_s\": " << fixed(r.live.seconds, 4)
            << ", \"matches_checked_in\": "
            << (r.matches_checked_in ? "true" : "false")
-           << ", \"decrypt_ok\": " << (r.decrypt_ok ? "true" : "false")
+           << ", \"decrypt_ok\": " << (r.live.decrypt_ok ? "true" : "false")
            << "}" << (i + 1 < results.size() ? "," : "") << "\n";
-      ok = ok && r.decrypt_ok && r.in_band && r.matches_checked_in;
+      ok = ok && r.live.decrypt_ok && r.in_band && r.matches_checked_in;
     }
     json << "  ]\n}\n";
     std::cout << "\n(wrote BENCH_param_search.json)\n";

@@ -130,15 +130,10 @@ HheServer::HheServer(const HheConfig& config, const fhe::Bgv& bgv,
 }
 
 std::vector<Ciphertext> HheServer::keystream_circuit(
-    const PreparedBlock& prep, ServerReport* report) const {
+    const PreparedBlock& prep) const {
   const auto& params = config_.pasta;
   const std::size_t t = params.t;
   const auto& rnd = prep.rnd;
-
-  ServerReport local;
-  ServerReport& rep = report != nullptr ? *report : local;
-  rep = ServerReport{};
-  const CounterSnapshot before = bgv_.rns().exec().snapshot();
 
   std::vector<Ciphertext> left(key_cts_.begin(),
                                key_cts_.begin() + static_cast<long>(t));
@@ -218,7 +213,6 @@ std::vector<Ciphertext> HheServer::keystream_circuit(
       bgv_.add_scalar_inplace(acc, rc[i]);
       out[i] = std::move(acc);
     });
-    rep.scalar_multiplications += t * t;
     x = std::move(out);
   };
 
@@ -238,8 +232,7 @@ std::vector<Ciphertext> HheServer::keystream_circuit(
   // Squaring of a whole vector: tensor in parallel, drop the 3-part results
   // while the shrink is cheapest (before relinearisation's per-prime digit
   // work), relinearise, drop again. Each drop is collective so the vector
-  // stays level-aligned. The report counters are updated outside the
-  // parallel loops to avoid data races.
+  // stays level-aligned.
   auto square_vec = [&](const std::vector<Ciphertext>& x, std::size_t count) {
     std::vector<Ciphertext> sq(count);
     parallel_for(count,
@@ -253,7 +246,6 @@ std::vector<Ciphertext> HheServer::keystream_circuit(
 
   auto feistel = [&](std::vector<Ciphertext>& x) {
     const std::vector<Ciphertext> sq = square_vec(x, t - 1);
-    rep.ct_ct_multiplications += t - 1;
     const std::size_t level = sq.front().level;
     for (std::size_t j = t; j-- > 1;) {
       bgv_.mod_switch_to(x[j], level);
@@ -271,7 +263,6 @@ std::vector<Ciphertext> HheServer::keystream_circuit(
     auto_drop(x);
     parallel_for(t, [&](std::size_t j) { bgv_.relinearize_inplace(x[j]); });
     auto_drop(x);
-    rep.ct_ct_multiplications += 2 * t;  // square + final multiplication
   };
 
   for (std::size_t round = 0; round < params.rounds; ++round) {
@@ -303,35 +294,15 @@ std::vector<Ciphertext> HheServer::keystream_circuit(
   if (target < left.front().level) {
     for (auto& ct : left) bgv_.mod_switch_to(ct, target);
   }
-
-  rep.final_level = left.front().level;
-  rep.exec_ops = bgv_.rns().exec().snapshot() - before;
-  rep.min_noise_budget_bits = 1e9;
-  rep.predicted_min_budget_bits = 1e9;
-  for (const auto& ct : left) {
-    rep.min_noise_budget_bits =
-        std::min(rep.min_noise_budget_bits, bgv_.noise_budget_bits(ct));
-    rep.predicted_min_budget_bits =
-        std::min(rep.predicted_min_budget_bits, bgv_.predicted_budget_bits(ct));
-  }
   return left;  // truncation layer
 }
 
 std::vector<Ciphertext> HheServer::transcipher_block(
-    std::span<const u64> symmetric_ct, u64 nonce, u64 counter,
-    ServerReport* report) const {
-  return transcipher_block(symmetric_ct,
-                           prepare_block(config_.pasta, nonce, counter),
-                           report);
-}
-
-std::vector<Ciphertext> HheServer::transcipher_block(
-    std::span<const u64> symmetric_ct, const PreparedBlock& prep,
-    ServerReport* report) const {
+    std::span<const u64> symmetric_ct, u64 nonce, u64 counter) const {
   const std::size_t t = config_.pasta.t;
   POE_ENSURE(symmetric_ct.size() <= t && !symmetric_ct.empty(),
              "block must have 1.." << t << " elements");
-  auto ks = keystream_circuit(prep, report);
+  auto ks = keystream_circuit(prepare_block(config_.pasta, nonce, counter));
   std::vector<Ciphertext> out;
   out.reserve(symmetric_ct.size());
   for (std::size_t i = 0; i < symmetric_ct.size(); ++i) {
@@ -345,7 +316,7 @@ std::vector<Ciphertext> HheServer::transcipher_block(
 }
 
 std::vector<Ciphertext> HheServer::transcipher(
-    std::span<const u64> symmetric_ct, u64 nonce, ServerReport* report) const {
+    std::span<const u64> symmetric_ct, u64 nonce) const {
   const std::size_t t = config_.pasta.t;
   std::vector<Ciphertext> out;
   out.reserve(symmetric_ct.size());
@@ -353,7 +324,7 @@ std::vector<Ciphertext> HheServer::transcipher(
     const std::size_t begin = block * t;
     const std::size_t len = std::min(t, symmetric_ct.size() - begin);
     auto cts = transcipher_block(symmetric_ct.subspan(begin, len), nonce,
-                                 block, report);
+                                 block);
     for (auto& ct : cts) out.push_back(std::move(ct));
   }
   return out;

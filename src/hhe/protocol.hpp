@@ -21,7 +21,6 @@
 #include <span>
 #include <vector>
 
-#include "common/exec_context.hpp"
 #include "fhe/bgv.hpp"
 #include "pasta/cipher.hpp"
 #include "pasta/matrix.hpp"
@@ -61,9 +60,10 @@ struct HheConfig {
 /// Plaintext-side precomputation for one keystream block: the public
 /// randomness (SHAKE squeeze + rejection sampling) with the affine matrices
 /// materialised. Building one touches only the XOF and CPU-side modular
-/// arithmetic — no ciphertext operations — so a serving layer can overlap it
-/// with the BGV evaluation of the *previous* block, the software analogue of
-/// the paper's Fig. 3 schedule (MatGen hidden behind the other units).
+/// arithmetic — no ciphertext operations — so the batched engine's prepare()
+/// can run it on the service's prepare thread, overlapped with the BGV
+/// evaluation of the *previous* batch: the software analogue of the paper's
+/// Fig. 3 schedule (MatGen hidden behind the other units).
 struct PreparedBlock {
   std::uint64_t nonce = 0;
   std::uint64_t counter = 0;
@@ -75,21 +75,6 @@ struct PreparedBlock {
 /// (nonce, counter) — pure CPU work, usable by both servers.
 PreparedBlock prepare_block(const pasta::PastaParams& params,
                             std::uint64_t nonce, std::uint64_t counter);
-
-/// Diagnostics from a homomorphic decryption.
-struct ServerReport {
-  double min_noise_budget_bits = 0;  ///< worst output ciphertext (secret key)
-  /// Budget implied by the server-side tracked bound for the same worst
-  /// output — no secret key involved. Soundness invariant (CI-enforced):
-  /// predicted <= measured.
-  double predicted_min_budget_bits = 0;
-  std::size_t final_level = 0;
-  std::size_t ct_ct_multiplications = 0;
-  std::size_t scalar_multiplications = 0;
-  /// Delta of the evaluator's ExecContext counters over the keystream
-  /// circuit (NTTs, key switches, pool hits/misses, ...).
-  CounterSnapshot exec_ops;
-};
 
 class HheClient {
  public:
@@ -124,25 +109,22 @@ class HheServer {
             std::vector<fhe::Ciphertext> encrypted_key);
 
   /// Homomorphically decrypt one PASTA block: returns t BGV ciphertexts,
-  /// the i-th encrypting message element i as a constant polynomial.
+  /// the i-th encrypting message element i as a constant polynomial. Op
+  /// counts are on the evaluator's ExecContext; noise budgets are read off
+  /// the returned ciphertexts (Bgv::noise_budget_bits, or the secret-free
+  /// Bgv::predicted_budget_bits).
   std::vector<fhe::Ciphertext> transcipher_block(
       std::span<const std::uint64_t> symmetric_ct, std::uint64_t nonce,
-      std::uint64_t counter, ServerReport* report = nullptr) const;
-
-  /// Same, from a PreparedBlock built ahead of time (pipelined serving).
-  std::vector<fhe::Ciphertext> transcipher_block(
-      std::span<const std::uint64_t> symmetric_ct, const PreparedBlock& prep,
-      ServerReport* report = nullptr) const;
+      std::uint64_t counter) const;
 
   /// Transcipher a multi-block message (block i uses counter i).
   std::vector<fhe::Ciphertext> transcipher(
-      std::span<const std::uint64_t> symmetric_ct, std::uint64_t nonce,
-      ServerReport* report = nullptr) const;
+      std::span<const std::uint64_t> symmetric_ct, std::uint64_t nonce) const;
 
  private:
   /// Evaluate the keystream circuit on the encrypted key.
-  std::vector<fhe::Ciphertext> keystream_circuit(const PreparedBlock& prep,
-                                                 ServerReport* report) const;
+  std::vector<fhe::Ciphertext> keystream_circuit(
+      const PreparedBlock& prep) const;
 
   const HheConfig& config_;
   const fhe::Bgv& bgv_;

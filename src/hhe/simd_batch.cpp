@@ -200,8 +200,7 @@ PreparedSimdBatch SimdBatchEngine::prepare(
 }
 
 Ciphertext SimdBatchEngine::evaluate(const Ciphertext& key_ct,
-                                     const PreparedSimdBatch& batch,
-                                     ServerReport* report) const {
+                                     const PreparedSimdBatch& batch) const {
   const auto& params = config_.pasta;
   const std::size_t s = 2 * params.t;
   const std::size_t cols = layout_.cols();
@@ -209,11 +208,6 @@ Ciphertext SimdBatchEngine::evaluate(const Ciphertext& key_ct,
              "batch must have 1.." << capacity_ << " blocks");
   POE_ENSURE(batch.diags.size() == params.rounds + 1,
              "batch was prepared for a different cipher");
-
-  ServerReport local;
-  ServerReport& rep = report != nullptr ? *report : local;
-  rep = ServerReport{};
-  const CounterSnapshot before = bgv_.rns().exec().snapshot();
 
   Ciphertext state = key_ct;
   // One rotation output reused across every diagonal of every layer: the
@@ -249,7 +243,6 @@ Ciphertext SimdBatchEngine::evaluate(const Ciphertext& key_ct,
             fhe::RnsPoly::from_plaintext(&bgv_.rns(), state.level,
                                          pair[variant].coeffs,
                                          /*to_ntt_form=*/true);
-        rep.scalar_multiplications += s;
         Ciphertext& inner = variant == 0 ? inner_a : inner_b;
         bool& init = variant == 0 ? init_a : init_b;
         ++(variant == 0 ? terms_a : terms_b);
@@ -303,7 +296,6 @@ Ciphertext SimdBatchEngine::evaluate(const Ciphertext& key_ct,
     bgv_.auto_switch_inplace(prod, config_.switch_margin);
     bgv_.relinearize_inplace(prod);
     bgv_.auto_switch_inplace(prod, config_.switch_margin);
-    ++rep.ct_ct_multiplications;
     return prod;
   };
 
@@ -342,11 +334,6 @@ Ciphertext SimdBatchEngine::evaluate(const Ciphertext& key_ct,
   // enc(m) = c - KS, all tiles at once.
   bgv_.negate_inplace(state);
   bgv_.add_plain_inplace(state, batch.message_plain);
-
-  rep.final_level = state.level;
-  rep.exec_ops = bgv_.rns().exec().snapshot() - before;
-  rep.min_noise_budget_bits = bgv_.noise_budget_bits(state);
-  rep.predicted_min_budget_bits = bgv_.predicted_budget_bits(state);
   return state;
 }
 

@@ -120,10 +120,11 @@ class SimdBatchEngine {
   PreparedSimdBatch prepare(std::span<const SimdBlockRequest> requests) const;
 
   /// Homomorphically decrypt all blocks of the batch against the session's
-  /// tiled key ciphertext; tile m of the result holds message m.
+  /// tiled key ciphertext; tile m of the result holds message m. Pure
+  /// public-key work: op counts land on the evaluator's ExecContext, and the
+  /// result's tracked bound gives its budget without the secret key.
   fhe::Ciphertext evaluate(const fhe::Ciphertext& key_ct,
-                           const PreparedSimdBatch& batch,
-                           ServerReport* report = nullptr) const;
+                           const PreparedSimdBatch& batch) const;
 
   /// Cross-tenant slot packing: restrict each tenant's tiled key to its
   /// assigned tiles with a 0/1 slot mask and sum, so tile m of the merged

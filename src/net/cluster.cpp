@@ -53,10 +53,9 @@ LocalCluster::~LocalCluster() {
   for (auto& host : shards_) host->listen.abort();
   if (km_accept_thread_.joinable()) km_accept_thread_.join();
   {
-    std::lock_guard<std::mutex> lock(km_mu_);
-    for (std::thread& t : km_conn_threads_) {
-      if (t.joinable()) t.join();
-    }
+    // No new connection thread can start now; wait out the live ones.
+    std::unique_lock<std::mutex> lock(km_mu_);
+    km_idle_.wait(lock, [this] { return km_live_conns_ == 0; });
   }
   for (auto& host : shards_) {
     if (host->thread.joinable()) host->thread.join();
@@ -94,11 +93,20 @@ void LocalCluster::km_main() {
     } catch (const WireError&) {
       return;  // aborted
     }
-    std::lock_guard<std::mutex> lock(km_mu_);
-    km_conn_threads_.emplace_back([this, s = std::move(sock)]() mutable {
-      FrameChannel ch(std::move(s));
-      if (!km_->serve(ch)) km_listen_.abort();  // orderly shutdown frame
-    });
+    {
+      std::lock_guard<std::mutex> lock(km_mu_);
+      ++km_live_conns_;
+    }
+    std::thread([this, s = std::move(sock)]() mutable {
+      {
+        FrameChannel ch(std::move(s));
+        if (!km_->serve(ch)) km_listen_.abort();  // orderly shutdown frame
+      }
+      // Last touch of the cluster: the destructor may run once the count
+      // reaches zero and the lock is released.
+      std::lock_guard<std::mutex> lock(km_mu_);
+      if (--km_live_conns_ == 0) km_idle_.notify_all();
+    }).detach();
   }
 }
 

@@ -14,6 +14,7 @@
 #pragma once
 
 #include <atomic>
+#include <condition_variable>
 #include <cstdint>
 #include <memory>
 #include <mutex>
@@ -88,8 +89,12 @@ class LocalCluster {
   std::unique_ptr<KeyManager> km_;
   ListenSocket km_listen_;
   std::thread km_accept_thread_;
+  // Key-manager connection threads are detached, so a finished one never
+  // lingers (one connects per onboard()); the destructor waits on this
+  // count instead of joining them, before the KeyManager goes away.
   std::mutex km_mu_;
-  std::vector<std::thread> km_conn_threads_;
+  std::condition_variable km_idle_;
+  std::size_t km_live_conns_ = 0;  ///< guarded by km_mu_
 
   std::vector<std::unique_ptr<ShardHost>> shards_;
   std::unique_ptr<Router> router_;

@@ -19,6 +19,10 @@ using u64 = std::uint64_t;
 double seconds_since(Clock::time_point t0) {
   return std::chrono::duration<double>(Clock::now() - t0).count();
 }
+
+// Prepared batches the pipeline queue buffers ahead of the evaluator. Any
+// depth >= 1 hides prepare behind evaluate (Fig. 3); 2 absorbs jitter.
+constexpr std::size_t kPipelineDepth = 2;
 }  // namespace
 
 namespace {
@@ -152,8 +156,6 @@ TranscipherService::TranscipherService(
                   : hhe::SimdBatchEngine::make_shared_rotation_keys(config,
                                                                     bgv)) {
   POE_ENSURE(service_config_.max_sessions >= 1, "need at least one session");
-  POE_ENSURE(service_config_.pipeline_depth >= 1,
-             "pipeline depth must be >= 1");
   POE_ENSURE(service_config_.max_stage_attempts >= 1,
              "need at least one stage attempt");
   max_batch_ = engine_.capacity();
@@ -303,19 +305,11 @@ std::vector<TranscipherResult> TranscipherService::process(
     std::size_t request = 0;
     std::size_t block = 0;
   };
-  struct BatchJob {
-    u64 client_id = 0;  ///< legacy per-client path only
-    std::vector<hhe::SimdBlockRequest> blocks;
-    std::vector<BlockRef> refs;
-    std::vector<u64> tenants;  ///< tile -> owning client (packed path)
-  };
-  std::vector<BatchJob> jobs;
-  const bool packing = service_config_.cross_tenant_packing;
 
-  // Packed path: the deadline-aware scheduler owns batch formation (tile
-  // assignment, flush causes, backlog bound); payloads wait in a side
-  // array indexed by the scheduler handle. Time is the offset from call
-  // start, so the scheduler's virtual clock lines up with request_latency_s.
+  // The deadline-aware scheduler owns batch formation (tile assignment,
+  // flush causes, backlog bound); payloads wait in a side array indexed by
+  // the scheduler handle. Time is the offset from call start, so the
+  // scheduler's virtual clock lines up with request_latency_s.
   BatchScheduler scheduler(SchedulerConfig{
       .batch_capacity = max_batch_,
       .deadline_s = service_config_.batch_deadline_s,
@@ -325,9 +319,6 @@ std::vector<TranscipherResult> TranscipherService::process(
     BlockRef ref;
   };
   std::vector<PendingBlock> pend;
-  // Legacy path — per client: the job that still has free tiles.
-  std::unordered_map<u64, std::size_t> open_job;
-  std::size_t admitted_blocks = 0;
 
   for (std::size_t r = 0; r < requests.size(); ++r) {
     const auto& req = requests[r];
@@ -358,12 +349,7 @@ std::vector<TranscipherResult> TranscipherService::process(
       continue;
     }
     const std::size_t nblocks = (req.symmetric_ct.size() + t - 1) / t;
-    const bool overloaded =
-        packing ? !scheduler.can_accept(nblocks)
-                : service_config_.max_pending_blocks != 0 &&
-                      admitted_blocks + nblocks >
-                          service_config_.max_pending_blocks;
-    if (overloaded) {
+    if (!scheduler.can_accept(nblocks)) {
       // Shed BEFORE the nonce is recorded, so the client can resubmit the
       // same request once load drops.
       res.status = RequestStatus::kOverloaded;
@@ -377,7 +363,6 @@ std::vector<TranscipherResult> TranscipherService::process(
       session.nonce_order.pop_front();
     }
     touch(req.client_id, session);
-    admitted_blocks += nblocks;
 
     res.blocks.resize(nblocks);
     for (std::size_t b = 0; b < nblocks; ++b) {
@@ -389,47 +374,36 @@ std::vector<TranscipherResult> TranscipherService::process(
       block.symmetric_ct.assign(
           req.symmetric_ct.begin() + static_cast<long>(begin),
           req.symmetric_ct.begin() + static_cast<long>(begin + len));
-      if (packing) {
-        const double now = seconds_since(t_start);
-        const bool accepted = scheduler.submit(
-            ScheduledBlock{.tenant = req.client_id,
-                           .handle = pend.size(),
-                           .arrival_s = now},
-            now);
-        POE_ENSURE(accepted, "scheduler refused a pre-admitted block");
-        pend.push_back(
-            PendingBlock{std::move(block), BlockRef{.request = r, .block = b}});
-      } else {
-        auto open = open_job.find(req.client_id);
-        if (open == open_job.end() ||
-            jobs[open->second].blocks.size() >= max_batch_) {
-          open_job[req.client_id] = jobs.size();
-          BatchJob job;
-          job.client_id = req.client_id;
-          jobs.push_back(std::move(job));
-          open = open_job.find(req.client_id);
-        }
-        BatchJob& job = jobs[open->second];
-        job.blocks.push_back(std::move(block));
-        job.refs.push_back(BlockRef{.request = r, .block = b});
-      }
+      const double now = seconds_since(t_start);
+      const bool accepted = scheduler.submit(
+          ScheduledBlock{.tenant = req.client_id,
+                         .handle = pend.size(),
+                         .arrival_s = now},
+          now);
+      POE_ENSURE(accepted, "scheduler refused a pre-admitted block");
+      pend.push_back(
+          PendingBlock{std::move(block), BlockRef{.request = r, .block = b}});
       ++rep.blocks;
     }
   }
-  if (packing) {
-    // End of the admission stream: flush whatever is still forming and
-    // materialise the formed batches (tile i = blocks[i], arrival order).
-    scheduler.drain(seconds_since(t_start));
-    while (auto formed = scheduler.next()) {
-      BatchJob job;
-      job.blocks.reserve(formed->blocks.size());
-      for (const ScheduledBlock& sb : formed->blocks) {
-        job.blocks.push_back(std::move(pend[sb.handle].block));
-        job.refs.push_back(pend[sb.handle].ref);
-        job.tenants.push_back(sb.tenant);
-      }
-      jobs.push_back(std::move(job));
+  // End of the admission stream: flush whatever is still forming and
+  // materialise the formed batches (tile i = blocks[i], arrival order).
+  struct BatchJob {
+    std::vector<hhe::SimdBlockRequest> blocks;
+    std::vector<BlockRef> refs;
+    std::vector<u64> tenants;  ///< tile -> owning client
+  };
+  std::vector<BatchJob> jobs;
+  scheduler.drain(seconds_since(t_start));
+  while (auto formed = scheduler.next()) {
+    BatchJob job;
+    job.blocks.reserve(formed->blocks.size());
+    for (const ScheduledBlock& sb : formed->blocks) {
+      job.blocks.push_back(std::move(pend[sb.handle].block));
+      job.refs.push_back(pend[sb.handle].ref);
+      job.tenants.push_back(sb.tenant);
     }
+    jobs.push_back(std::move(job));
   }
   rep.batches = jobs.size();
 
@@ -518,13 +492,13 @@ std::vector<TranscipherResult> TranscipherService::process(
   };
 
   // Consumer side: poison-pill gate + evaluation of one prepared batch.
-  // Packed batches may span several tenants: each tenant is validated
+  // A batch may span several tenants: each tenant's key is validated
   // separately, quarantined tenants are dropped from the key merge (their
   // tiles get an all-zero key and their requests degrade to kQuarantined),
   // and every survivor receives a masked extraction of the shared output.
   // The keystream circuit is tile-local, so the survivors' slots decode
   // bit-identical to a run without the quarantined tenant.
-  auto consume_packed = [&](Prepared& prepared) {
+  auto consume_one = [&](const Prepared& prepared) {
     const std::size_t j = prepared.job;
     const BatchJob& job = jobs[j];
     // Tiles grouped by tenant, in first-arrival order — the fault sites
@@ -541,28 +515,26 @@ std::vector<TranscipherResult> TranscipherService::process(
     std::unordered_set<u64> dead;
     for (const u64 tenant : tenant_order) {
       Session& session = sessions_.at(tenant);
-      if (service_config_.validate_sessions) {
-        if (!session.key_ct.parts.empty()) {
-          fault_corrupt(exec, "service.key.corrupt",
+      if (!session.key_ct.parts.empty()) {
+        fault_corrupt(exec, "service.key.corrupt",
+                      session.key_ct.parts[0].rns(0));
+        if (tenant_order.size() > 1) {
+          // Multi-tenant-batch site: poison a key mid-pack (arm with
+          // `after` to hit the second or later tenant of the batch).
+          fault_corrupt(exec, "service.pack.key.corrupt",
                         session.key_ct.parts[0].rns(0));
-          if (tenant_order.size() > 1) {
-            // Packed-batch-specific site: poison a key mid-pack (arm with
-            // `after` to hit the second or later tenant of the batch).
-            fault_corrupt(exec, "service.pack.key.corrupt",
-                          session.key_ct.parts[0].rns(0));
+        }
+      }
+      if (auto why = fhe::validate_ciphertext(bgv_.rns(), session.key_ct)) {
+        dead.insert(tenant);
+        for (const std::size_t i : tiles_of[tenant]) {
+          TranscipherResult& res = results[job.refs[i].request];
+          if (res.status == RequestStatus::kOk) {
+            res.status = RequestStatus::kQuarantined;
+            res.error = "session key implausible: " + *why;
           }
         }
-        if (auto why = fhe::validate_ciphertext(bgv_.rns(), session.key_ct)) {
-          dead.insert(tenant);
-          for (const std::size_t i : tiles_of[tenant]) {
-            TranscipherResult& res = results[job.refs[i].request];
-            if (res.status == RequestStatus::kOk) {
-              res.status = RequestStatus::kQuarantined;
-              res.error = "session key implausible: " + *why;
-            }
-          }
-          continue;
-        }
+        continue;
       }
       live.push_back(hhe::TenantTiles{&session.key_ct, tiles_of[tenant]});
       live_ids.push_back(tenant);
@@ -578,10 +550,8 @@ std::vector<TranscipherResult> TranscipherService::process(
     const bool ok = run_stage(
         "service.evaluate", "service.evaluate.stall",
         [&] {
-          const fhe::Ciphertext packed_key = engine_.merge_tenant_keys(live);
-          hhe::ServerReport server_report;
-          const fhe::Ciphertext batch_out =
-              engine_.evaluate(packed_key, prepared.batch, &server_report);
+          const fhe::Ciphertext batch_out = engine_.evaluate(
+              engine_.merge_tenant_keys(live), prepared.batch);
           out_of.clear();
           batch_noise = 1e9;
           batch_predicted = 1e9;
@@ -613,55 +583,8 @@ std::vector<TranscipherResult> TranscipherService::process(
     }
   };
 
-  auto consume_one = [&](Prepared prepared) {
-    if (packing) {
-      consume_packed(prepared);
-      return;
-    }
-    const std::size_t j = prepared.job;
-    const BatchJob& job = jobs[j];
-    Session& session = sessions_.at(job.client_id);
-    if (service_config_.validate_sessions) {
-      if (!session.key_ct.parts.empty()) {
-        fault_corrupt(exec, "service.key.corrupt",
-                      session.key_ct.parts[0].rns(0));
-      }
-      if (auto why = fhe::validate_ciphertext(bgv_.rns(), session.key_ct)) {
-        outcomes[j].state = BatchState::kQuarantined;
-        outcomes[j].error = "session key implausible: " + *why;
-        return;
-      }
-    }
-    std::shared_ptr<const fhe::Ciphertext> ct;
-    double batch_noise = 0;
-    double batch_predicted = 0;
-    const bool ok = run_stage(
-        "service.evaluate", "service.evaluate.stall",
-        [&] {
-          hhe::ServerReport server_report;
-          ct = std::make_shared<const fhe::Ciphertext>(engine_.evaluate(
-              session.key_ct, prepared.batch, &server_report));
-          batch_noise = server_report.min_noise_budget_bits;
-          batch_predicted = server_report.predicted_min_budget_bits;
-        },
-        outcomes[j], outcomes[j].eval_s);
-    if (!ok) return;
-    outcomes[j].state = BatchState::kDone;
-    min_noise = std::min(min_noise, batch_noise);
-    min_predicted = std::min(min_predicted, batch_predicted);
-    ++evaluated_batches;
-    for (std::size_t i = 0; i < job.refs.size(); ++i) {
-      const BlockRef& ref = job.refs[i];
-      results[ref.request].blocks[ref.block] =
-          PlacedBlock{ct, i, prepared.batch.lens[i]};
-      if (--missing[ref.request] == 0) {
-        rep.request_latency_s[ref.request] = seconds_since(t_start);
-      }
-    }
-  };
-
   if (service_config_.pipelined && !jobs.empty()) {
-    BoundedQueue<Prepared> queue(service_config_.pipeline_depth);
+    BoundedQueue<Prepared> queue(kPipelineDepth);
     std::exception_ptr prepare_error;
     std::thread producer([&] {
       try {
@@ -693,7 +616,7 @@ std::vector<TranscipherResult> TranscipherService::process(
       queue.close();
     });
     try {
-      while (auto prepared = queue.pop()) consume_one(std::move(*prepared));
+      while (auto prepared = queue.pop()) consume_one(*prepared);
     } catch (...) {
       queue.close();  // unblock the producer before re-throwing
       producer.join();
@@ -708,7 +631,7 @@ std::vector<TranscipherResult> TranscipherService::process(
     for (std::size_t j = 0; j < jobs.size(); ++j) {
       Prepared prepared;
       if (!prepare_one(j, prepared)) continue;
-      consume_one(std::move(prepared));
+      consume_one(prepared);
     }
   }
 
@@ -748,12 +671,12 @@ std::vector<TranscipherResult> TranscipherService::process(
       case RequestStatus::kOk:
         ++rep.faults.ok;
         // Per-session serving stats (part of the SessionState snapshot).
-        // The session can legitimately be gone by now — LRU-evicted by a
-        // later open_session in this very call is impossible, but keep the
-        // lookup defensive.
-        if (auto sit = sessions_.find(res.client_id); sit != sessions_.end()) {
-          ++sit->second.requests_served;
-          sit->second.blocks_served += res.blocks.size();
+        // process() never opens or evicts a session, so an admitted
+        // request's session is still here.
+        {
+          Session& session = sessions_.at(res.client_id);
+          ++session.requests_served;
+          session.blocks_served += res.blocks.size();
         }
         break;
       case RequestStatus::kUnknownSession:
@@ -793,14 +716,12 @@ std::vector<TranscipherResult> TranscipherService::process(
     rep.avg_batch_occupancy /= double(jobs.size());
   }
   rep.blocks_per_s = rep.total_s > 0 ? double(rep.blocks) / rep.total_s : 0;
-  if (packing) {
-    const SchedulerStats& sched = scheduler.stats();
-    rep.full_flushes = sched.full_flushes;
-    rep.deadline_flushes = sched.deadline_flushes;
-    rep.drain_flushes = sched.drain_flushes;
-    rep.cross_tenant_batches = sched.cross_tenant_batches;
-    rep.max_batch_wait_s = sched.max_wait_s;
-  }
+  const SchedulerStats& sched = scheduler.stats();
+  rep.full_flushes = sched.full_flushes;
+  rep.deadline_flushes = sched.deadline_flushes;
+  rep.drain_flushes = sched.drain_flushes;
+  rep.cross_tenant_batches = sched.cross_tenant_batches;
+  rep.max_batch_wait_s = sched.max_wait_s;
   rep.session_evictions = evictions_;
   rep.faults.injected =
       injector != nullptr ? injector->fired_total() - fired_before : 0;

@@ -9,16 +9,15 @@
 //    form, validating it before it can touch a batch.
 //  * Cross-tenant packing. A request carries a whole message; the service
 //    splits it into PASTA blocks (block i uses counter i, matching
-//    pasta::PastaCipher::encrypt) and a deadline-aware BatchScheduler packs
-//    blocks of DIFFERENT clients into one SIMD batch of up to
-//    batch_capacity() tiles. Each tenant's tiled key is restricted to its
-//    assigned tiles by a 0/1 mask and the masked keys are summed into one
-//    packed key ciphertext (SimdBatchEngine::merge_tenant_keys); on output
-//    each tenant receives a masked extraction carrying only its own slots.
-//    Keys uploaded under a tenant's own BGV secret are key-switched into
-//    the service's evaluation domain on ingest (open_session_switched).
-//    ServiceConfig::cross_tenant_packing = false restores per-client
-//    batching, kept as the reference path for differential tests.
+//    pasta::PastaCipher::encrypt) and a deadline-aware BatchScheduler forms
+//    every batch, packing blocks of DIFFERENT clients into one SIMD batch of
+//    up to batch_capacity() tiles. Each tenant's tiled key is restricted to
+//    its assigned tiles by a 0/1 mask and the masked keys are summed into
+//    one packed key ciphertext (SimdBatchEngine::merge_tenant_keys); on
+//    output each tenant receives a masked extraction carrying only its own
+//    slots. A lone tenant's batch is the same path with one key. Keys
+//    uploaded under a tenant's own BGV secret are key-switched into the
+//    service's evaluation domain on ingest (open_session_switched).
 //  * Pipelining. Batch preparation (SHAKE squeeze, rejection sampling,
 //    matrix generation, diagonal encoding — pure CPU work) runs on a
 //    dedicated thread feeding a bounded queue; the caller's thread drains
@@ -31,8 +30,9 @@
 //    message, load shed); each pipeline stage runs under a virtual-time
 //    timeout with bounded exponential-backoff retry; a saturated pipeline
 //    queue degrades to a typed Overloaded rejection; and a decrypt-free
-//    plausibility check (fhe::validate_ciphertext) quarantines poison-pill
-//    session keys per batch instead of killing the whole process() call.
+//    plausibility check (fhe::validate_ciphertext) of every tenant's key
+//    before each batch quarantines poison-pill session keys instead of
+//    killing the whole process() call.
 //    Every fault point is instrumented for the chaos harness
 //    (tests/fault_test.cpp) via the FaultInjector on the evaluator's
 //    ExecContext; unarmed, each point is one pointer load.
@@ -61,19 +61,13 @@ namespace poe::service {
 struct ServiceConfig {
   std::size_t max_sessions = 8;     ///< LRU-evict beyond this many clients
   std::size_t max_batch_blocks = 0; ///< 0 = the engine's full capacity
-  std::size_t pipeline_depth = 2;   ///< prepared batches buffered ahead
   bool pipelined = true;            ///< false: prepare+evaluate in sequence
   std::size_t max_tracked_nonces = 1024;  ///< replay window per session
 
-  /// Pack blocks of DIFFERENT clients into one SIMD batch (per-tenant slot
-  /// ranges, merged keys, masked extraction on output). false restores
-  /// per-client batching — the reference path for differential tests.
-  bool cross_tenant_packing = true;
   /// Deadline-aware flush: a forming batch whose OLDEST block has waited
   /// longer than this is flushed partially full, bounding packing latency.
-  /// 0 = flush only when full or at end-of-call drain. (Only meaningful
-  /// with cross_tenant_packing; exercised under virtual time in
-  /// tests/scheduler_test.cpp.)
+  /// 0 = flush only when full or at end-of-call drain. (Exercised under
+  /// virtual time in tests/scheduler_test.cpp.)
   double batch_deadline_s = 0;
 
   // --- Robustness knobs (defaults keep the fault-free fast path intact).
@@ -92,9 +86,6 @@ struct ServiceConfig {
   /// Bounded producer wait on a saturated pipeline queue; on expiry the
   /// batch is shed as kOverloaded. 0 = block indefinitely (no shedding).
   double queue_push_timeout_s = 0;
-  /// Decrypt-free plausibility check of the session key before each batch
-  /// evaluation; failures quarantine the batch (kQuarantined).
-  bool validate_sessions = true;
 };
 
 /// One client request: transcipher a whole PASTA-encrypted message.
@@ -190,8 +181,8 @@ struct ServiceReport {
   std::size_t max_queue_depth = 0;
   double avg_batch_occupancy = 0;  ///< mean fill fraction of the batches
   double blocks_per_s = 0;
-  // --- Batch-scheduler accounting (all zero with cross_tenant_packing
-  // --- off): why each batch left the forming stage, and the packing reach.
+  // --- Batch-scheduler accounting: why each batch left the forming stage,
+  // --- and the packing reach.
   std::size_t full_flushes = 0;      ///< batches flushed at capacity
   std::size_t deadline_flushes = 0;  ///< partial batches flushed on deadline
   std::size_t drain_flushes = 0;     ///< partial batches flushed at drain

@@ -141,7 +141,6 @@ TEST(AllocRegression, PackedServiceSteadyStateIsAllocationFree) {
 
   service::ServiceConfig cfg;
   cfg.pipelined = false;
-  cfg.cross_tenant_packing = true;
   service::TranscipherService service(config, bgv, cfg);
 
   std::vector<ServiceClient> clients;
@@ -192,7 +191,6 @@ TEST(AllocRegression, PipelinedServiceSteadyStateHasZeroPoolMisses) {
 
   service::ServiceConfig cfg;
   cfg.pipelined = true;
-  cfg.cross_tenant_packing = true;
   service::TranscipherService service(config, bgv, cfg);
 
   ServiceClient client(config, 0, 0xF00D);

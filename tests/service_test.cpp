@@ -234,21 +234,24 @@ TEST(TranscipherServiceTest, ClientsShareOnePackedBatchWithIsolation) {
             zeros);
 }
 
-TEST(TranscipherServiceTest, PackingOffRestoresPerClientBatches) {
-  // The legacy per-client path survives as an explicit config, serving as
-  // the reference side of the packed-vs-unpacked differential tests.
-  auto service = make_service(ServiceConfig{.cross_tenant_packing = false});
+TEST(TranscipherServiceTest, BatchOfOneTenantsBlocksHoldsOneTenant) {
+  // The shape of bench_service's unpacked reference: batches capped at one
+  // tenant's block count, tenants arriving one after the other. Each
+  // tenant's blocks fill a batch alone, so no batch is shared.
+  const std::size_t t = stack().config.pasta.t;
+  auto service = make_service(ServiceConfig{.max_batch_blocks = 2});
   TestClient alice(30, 33), bob(31, 43);
   service.open_session(alice.id, alice.encrypted_key());
   service.open_session(bob.id, bob.encrypted_key());
 
-  const auto msg_a = random_msg(5, 34);
-  const auto msg_b = random_msg(7, 44);
+  const auto msg_a = random_msg(2 * t - 3, 34);  // 2 blocks, ragged tail
+  const auto msg_b = random_msg(2 * t, 44);      // 2 full blocks
   ServiceReport report;
   const auto results = service.process(
       std::vector{alice.request(9, msg_a), bob.request(9, msg_b)}, &report);
 
-  EXPECT_EQ(report.batches, 2u);  // different keys, never share a batch
+  EXPECT_EQ(report.batches, 2u);
+  EXPECT_EQ(report.full_flushes, 2u);
   EXPECT_EQ(report.cross_tenant_batches, 0u);
   EXPECT_EQ(decode_all(results[0]), msg_a);
   EXPECT_EQ(decode_all(results[1]), msg_b);
