@@ -82,6 +82,7 @@ std::string json_record(const char* name, double seconds,
      << ", \"num_primes\": " << params.num_primes
      << ", \"prime_bits\": " << params.prime_bits
      << ", \"relin_digit_bits\": " << params.relin_digit_bits
+     << ", \"special_primes\": " << params.special_primes()
      << ", \"noise_budget_bits\": " << fixed(served.noise_budget_bits, 1)
      << ", \"predicted_budget_bits\": "
      << fixed(served.predicted_budget_bits, 1)

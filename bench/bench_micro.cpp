@@ -7,7 +7,9 @@
 #include <fstream>
 #include <iomanip>
 #include <iostream>
+#include <memory>
 #include <sstream>
+#include <string>
 
 #include "common/exec_context.hpp"
 #include "kernels/backend.hpp"
@@ -18,6 +20,8 @@
 #include "keccak/shake.hpp"
 #include "modular/primes.hpp"
 #include "fhe/serialize.hpp"
+#include "hhe/protocol.hpp"
+#include "hhe/simd_batch.hpp"
 #include "hw/accelerator.hpp"
 #include "pasta/cipher.hpp"
 #include "pasta/serialize.hpp"
@@ -190,7 +194,8 @@ BENCHMARK(BM_AcceleratorBlock)->Arg(3)->Arg(4);
 // results into BENCH_hhe.json as "kernel_backends", so a regression in the
 // SIMD paths is visible next to the end-to-end transcipher numbers. The ksw
 // inner product is timed twice: one hot limb that fits in L2, and one whole
-// rotation at the serving shape, whose key rows stream from beyond L2.
+// rotation at the serving shape, whose key rows stream from beyond L2; the
+// mod-down that closes each serving-shape switch gets its own row.
 
 /// ns/op of `op`, timed until the sample is at least ~30 ms long.
 template <typename F>
@@ -232,14 +237,22 @@ void run_kernel_backend_comparison() {
   }
 
   struct Row {
-    const char* kernel;
+    std::string kernel;
     std::vector<std::pair<std::string, double>> ns;  // backend -> ns/op
   };
-  // Serving shape: one hoisted rotation on the batched_test ring (n = 1024,
-  // 12 limbs x 36 digits, overwrite mode as in rotate_hoisted_into), cycling
-  // 16 distinct keys as one affine layer does. Timed in ns per rotation.
-  const std::size_t rn = 1024, limbs = 12, rnd = 36, nkeys = 16;
-  const auto primes = mod::ntt_prime_chain(limbs, 57, rn);
+  // Serving shape: one hoisted rotation at the top level of the
+  // batched_test ring (n = 1024): ceil(L / alpha) digits over L + alpha
+  // key-basis limbs, overwrite mode as in rotate_hoisted_into, cycling the
+  // engine's distinct rotation keys as an affine layer does. Timed in ns per
+  // rotation.
+  const hhe::HheConfig serving = hhe::HheConfig::batched_test();
+  const std::size_t rn = serving.bgv.n, chain = serving.bgv.num_primes;
+  const std::size_t alpha = serving.bgv.special_primes();
+  const std::size_t limbs = chain + alpha, rnd = (chain + alpha - 1) / alpha;
+  const std::size_t nkeys =
+      hhe::SimdBatchEngine::rotation_steps(serving).size();
+  const auto primes = mod::bgv_prime_chain(limbs, serving.bgv.prime_bits, rn,
+                                           serving.bgv.t);
   const std::vector<mod::Modulus> mods(primes.begin(), primes.end());
   std::vector<std::uint64_t> rdig(limbs * rnd * rn);
   std::vector<std::uint64_t> rkey(nkeys * limbs * 2 * rnd * rn);
@@ -263,11 +276,65 @@ void run_kernel_backend_comparison() {
       }
     }
   }
+  const std::string shape = std::to_string(rn) + "_" + std::to_string(limbs) +
+                            "x" + std::to_string(rnd);
+  const std::string rotation_row =
+      "ksw_rotation_" + shape + "_" + std::to_string(nkeys) + "keys";
+
+  // The mod-down that follows each such inner product: both outputs'
+  // special limbs leave NTT form and take their scale, then per chain limb
+  // the fast conversion from the special limbs (alpha products), a forward
+  // NTT, the subtraction and the P^{-1} scale — Bgv::key_switch's kernel
+  // calls on random residues and constants.
+  std::vector<std::unique_ptr<fhe::Ntt>> rntt;
+  for (const auto p : primes) rntt.push_back(std::make_unique<fhe::Ntt>(p, rn));
+  std::vector<std::uint64_t> rconst(limbs * (alpha + 2)), rconst_shoup;
+  for (std::size_t l = 0; l < limbs; ++l) {
+    for (std::size_t k = 0; k < alpha + 2; ++k) {
+      const std::uint64_t w = rng.below(primes[l]);
+      rconst[l * (alpha + 2) + k] = w;
+      rconst_shoup.push_back(kernels::shoup_precompute(w, primes[l]));
+    }
+  }
+  std::vector<std::uint64_t> racc(2 * limbs * rn), rdelta(rn), rtmp(rn);
+  for (std::size_t j = 0; j < racc.size(); ++j) {
+    racc[j] = rng.below(primes[(j / rn) % limbs]);
+  }
+  const std::string mod_down_row = "mod_down_" + std::to_string(rn) + "_" +
+                                   std::to_string(chain) + "+" +
+                                   std::to_string(alpha);
+  const auto mod_down = [&](const kernels::Backend& bk) {
+    for (std::size_t part = 0; part < 2; ++part) {
+      std::uint64_t* acc = racc.data() + part * limbs * rn;
+      for (std::size_t k = chain; k < limbs; ++k) {
+        const std::size_t c = k * (alpha + 2);
+        bk.intt_inplace(acc + k * rn, rntt[k]->tables());
+        bk.mul_shoup(acc + k * rn, acc + k * rn, rn, rconst[c],
+                     rconst_shoup[c], primes[k]);
+      }
+      const std::uint64_t* special = acc + chain * rn;
+      for (std::size_t i = 0; i < chain; ++i) {
+        const std::size_t c = i * (alpha + 2);
+        bk.mul_shoup(rdelta.data(), special, rn, rconst[c], rconst_shoup[c],
+                     primes[i]);
+        for (std::size_t k = 1; k < alpha; ++k) {
+          bk.mul_shoup(rtmp.data(), special + k * rn, rn, rconst[c + k],
+                       rconst_shoup[c + k], primes[i]);
+          bk.add(rdelta.data(), rtmp.data(), rn, mods[i]);
+        }
+        bk.ntt_inplace(rdelta.data(), rntt[i]->tables());
+        bk.sub(acc + i * rn, rdelta.data(), rn, mods[i]);
+        bk.mul_shoup(acc + i * rn, acc + i * rn, rn, rconst[c + alpha + 1],
+                     rconst_shoup[c + alpha + 1], primes[i]);
+      }
+    }
+  };
 
   std::vector<Row> rows = {{"ntt_4096", {}},
                            {"pointwise_mul_4096", {}},
                            {"ksw_accumulate_4096x16", {}},
-                           {"ksw_rotation_1024_12x36_16keys", {}}};
+                           {rotation_row, {}},
+                           {mod_down_row, {}}};
   for (const kernels::Backend* bk : kernels::available_backends()) {
     // NTT output is < q < 4q, so feeding it back in is a legal steady state.
     std::vector<std::uint64_t> x = a;
@@ -298,6 +365,8 @@ void run_kernel_backend_comparison() {
                                     mods[l], false, false);
                               }
                             }));
+    rows[4].ns.emplace_back(bk->name(),
+                            time_ns_per_op([&] { mod_down(*bk); }));
   }
 
   std::cout << "\nkernel backends (ns/op, speedup vs scalar):\n";

@@ -5,7 +5,8 @@
 // band under the security table, and validates the result LIVE: the
 // searched config must decrypt correctly through the real server — the
 // coefficient-wise HheServer, or SimdBatchEngine at full capacity — with
-// its measured budget inside the band.
+// its measured budget inside the band and its live tracked bound at or
+// above the band floor, as the replay promised.
 //
 // The chosen parameters are pasted into HheConfig::{test,demo,batched_*}
 // (src/hhe/protocol.cpp); the param_search fixed-point test re-derives
@@ -66,7 +67,8 @@ struct CaseResult {
 std::string params_literal(const fhe::BgvParams& p) {
   std::ostringstream os;
   os << "{n=" << p.n << ", num_primes=" << p.num_primes << ", prime_bits="
-     << p.prime_bits << ", relin_digit_bits=" << p.relin_digit_bits << "}";
+     << p.prime_bits << ", relin_digit_bits=" << p.relin_digit_bits
+     << "} (" << p.special_primes() << " special primes)";
   return os.str();
 }
 
@@ -171,7 +173,7 @@ CaseResult run_case(const std::string& name, const hhe::HheConfig& checked_in,
   r.matches_checked_in = same_params(r.search.params, checked_in.bgv);
   std::cout << "search: " << r.search.candidates_tried << " candidates in "
             << fixed(seconds_since(t0), 2) << " s\n"
-            << "chosen: " << params_literal(r.search.params) << " — log2(q) "
+            << "chosen: " << params_literal(r.search.params) << " — log2(PQ) "
             << fixed(r.search.log_q, 0) << " (cap "
             << fixed(r.search.security_cap, 0) << "), "
             << r.search.sim.mod_switches << " scheduled switches, predicted "
@@ -187,8 +189,11 @@ CaseResult run_case(const std::string& name, const hhe::HheConfig& checked_in,
   searched.bgv = r.search.params;
   searched.bgv.t = checked_in.bgv.t;
   r.live = batched ? run_batched(searched) : run_coefficient(searched);
+  // The live tracked bound must clear band_low as the replay's did: a live
+  // schedule that diverged from the replayed one shows up here first.
   r.in_band = r.live.measured_budget >= c.band_low &&
-              r.live.measured_budget <= c.band_high;
+              r.live.measured_budget <= c.band_high &&
+              r.live.predicted_budget >= c.band_low;
   std::cout << "live: " << fixed(r.live.seconds, 3) << " s per "
             << (batched ? "full batch" : "block") << ", measured budget "
             << fixed(r.live.measured_budget, 1) << " bits at level "
@@ -234,7 +239,8 @@ int main() {
            << ", \"num_primes\": " << p.num_primes
            << ", \"prime_bits\": " << p.prime_bits
            << ", \"relin_digit_bits\": " << p.relin_digit_bits
-           << ", \"log_q\": " << fixed(r.search.log_q, 0)
+           << ", \"special_primes\": " << p.special_primes()
+           << ", \"log_pq\": " << fixed(r.search.log_q, 0)
            << ", \"security_cap\": " << fixed(r.search.security_cap, 0)
            << ", \"mod_switches\": " << r.search.sim.mod_switches
            << ", \"predicted_budget_bits\": "

@@ -589,6 +589,7 @@ int main(int argc, char** argv) {
          << ", \"num_primes\": " << config.bgv.num_primes
          << ", \"prime_bits\": " << config.bgv.prime_bits
          << ", \"relin_digit_bits\": " << config.bgv.relin_digit_bits
+         << ", \"special_primes\": " << config.bgv.special_primes()
          << "},\n"
          << "  \"kernel_backend\": \""
          << (sweep.empty() ? std::string("unknown")

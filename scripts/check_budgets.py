@@ -4,8 +4,8 @@
 The gates and their values live in scripts/budgets.json next to this script,
 one section per gate with its rationale:
 
-  ntt        forward-NTT ceiling per transcipher block, plus identical counts
-             across kernel backends (--ntt-invariance)
+  ntt        forward- and inverse-NTT ceilings per transcipher block, plus
+             identical counts across kernel backends (--ntt-invariance)
   key_bytes  ceiling on the key-switching key bytes a block reads
   alloc      zero pool misses in the warmed-up serving path, and ceilings on
              whole-poly copy traffic
@@ -65,19 +65,21 @@ def check_ceilings(rep, hhe, path, field, limits):
 def gate_ntt(rep, cfg, files):
     hhe_path, hhe = files["hhe"]
     check_ceilings(rep, hhe, hhe_path, "ntt_forward", cfg["ntt_forward_max"])
-    # Same circuit, different kernel backend, same NTT count: a divergence
+    check_ceilings(rep, hhe, hhe_path, "ntt_inverse", cfg["ntt_inverse_max"])
+    # Same circuit, different kernel backend, same NTT counts: a divergence
     # means a backend changed evaluation strategy, not just arithmetic.
     for other_path, other in files.get("ntt_invariance", []):
         theirs = records(other)
         backend = other.get("kernel_backend", "?")
         for name, record in records(hhe).items():
-            mine = record.get("ntt_forward")
-            got = theirs.get(name, {}).get("ntt_forward")
-            rep.check(got == mine,
-                      f"{name}: ntt_forward={got} in {other_path} "
-                      f"(backend {backend}) vs {mine} in {hhe_path}",
-                      f"{name}: ntt_forward={got} in {other_path} "
-                      f"(backend {backend}) != {mine} in {hhe_path}")
+            for field in ("ntt_forward", "ntt_inverse"):
+                mine = record.get(field)
+                got = theirs.get(name, {}).get(field)
+                rep.check(got == mine,
+                          f"{name}: {field}={got} in {other_path} "
+                          f"(backend {backend}) vs {mine} in {hhe_path}",
+                          f"{name}: {field}={got} in {other_path} "
+                          f"(backend {backend}) != {mine} in {hhe_path}")
 
 
 def gate_key_bytes(rep, cfg, files):

@@ -47,34 +47,40 @@ void Bgv::end_recording() const {
 }
 
 double Bgv::predicted_budget_bits(const Ciphertext& ct) const {
-  return NoiseEstimator(params_).budget(ct.noise_bits, ct.level);
+  return est_->budget(ct.noise_bits, ct.level);
 }
 
 void Bgv::auto_switch_inplace(Ciphertext& a, double margin) const {
-  const NoiseEstimator est(params_);
   const std::size_t target =
-      est.auto_drop_target(a.noise_bits, a.level, a.size(), margin);
+      est_->auto_drop_target(a.noise_bits, a.level, a.size(), margin);
   if (target < a.level) mod_switch_to(a, target);
 }
 
-void Bgv::trim_output_inplace(Ciphertext& a, double keep_bits) const {
-  const NoiseEstimator est(params_);
+void Bgv::switch_for_multiply(Ciphertext& a, Ciphertext& b) const {
+  POE_ENSURE(a.level == b.level, "level mismatch (use match_levels)");
   const std::size_t target =
-      est.trim_target(a.noise_bits, a.level, a.size(), keep_bits);
+      est_->multiply_drop_target(a.noise_bits, b.noise_bits, a.level);
+  mod_switch_to(a, target);
+  mod_switch_to(b, target);
+}
+
+void Bgv::trim_output_inplace(Ciphertext& a, double keep_bits) const {
+  const std::size_t target =
+      est_->trim_target(a.noise_bits, a.level, a.size(), keep_bits);
   if (target < a.level) mod_switch_to(a, target);
 }
 
 void Bgv::note_fused_affine(Ciphertext& acc, const Ciphertext& src,
                             std::size_t terms) const {
   acc.noise_bits =
-      NoiseEstimator(params_).fused_affine(src.noise_bits, acc.level, terms);
+      est_->fused_affine(src.noise_bits, acc.level, terms);
   acc.trace_id = record_node(static_cast<std::uint8_t>(NoiseOp::kFusedAffine),
                              record_operand(src.trace_id), -1, 0,
                              static_cast<std::uint32_t>(terms));
 }
 
 void Bgv::note_mask_mul(Ciphertext& a) const {
-  a.noise_bits = NoiseEstimator(params_).mul_plain(a.noise_bits);
+  a.noise_bits = est_->mul_plain(a.noise_bits);
   a.trace_id = record_node(static_cast<std::uint8_t>(NoiseOp::kMulPlain),
                            record_operand(a.trace_id), -1);
 }
@@ -93,12 +99,14 @@ u64 galois_elt_for_step(std::size_t n, long step) {
   return g;
 }
 
+// toy: two-prime groups over a three-prime chain, so the top level runs a
+// truncated last group. demo: three-prime groups over eleven primes.
 BgvParams BgvParams::toy() {
   return BgvParams{.n = 1024,
                    .t = 65537,
                    .num_primes = 3,
                    .prime_bits = 40,
-                   .relin_digit_bits = 14,
+                   .relin_digit_bits = 80,
                    .seed = 7};
 }
 
@@ -107,55 +115,133 @@ BgvParams BgvParams::demo() {
                    .t = 65537,
                    .num_primes = 11,
                    .prime_bits = 45,
-                   .relin_digit_bits = 16,
+                   .relin_digit_bits = 135,
                    .seed = 7};
 }
 
-RnsPoly restrict_to_level(const RnsPoly& p, std::size_t level) {
-  POE_ENSURE(level <= p.level(), "cannot extend a polynomial");
-  RnsPoly out = RnsPoly::uninit(p.context(), level, p.is_ntt());
-  for (std::size_t i = 0; i < level; ++i) {
-    auto dst = out.rns(i);
-    auto src = p.rns(i);
-    std::copy(src.begin(), src.end(), dst.begin());
-  }
-  return out;
+std::size_t BgvParams::special_primes() const {
+  POE_ENSURE(prime_bits > 0 && relin_digit_bits > 0 &&
+                 relin_digit_bits % prime_bits == 0,
+             "relin_digit_bits (" << relin_digit_bits
+                                  << ") must be a positive whole multiple of "
+                                     "prime_bits ("
+                                  << prime_bits << ")");
+  const std::size_t alpha = relin_digit_bits / prime_bits;
+  POE_ENSURE(alpha <= num_primes, "relin_digit_bits gives "
+                                      << alpha << " primes per digit group, "
+                                      << "more than the " << num_primes
+                                      << " chain primes");
+  return alpha;
 }
 
 Bgv::Bgv(const BgvParams& params) : Bgv(params, nullptr) {}
 
 Bgv::Bgv(const BgvParams& params, ExecContext* exec)
+    : Bgv(params, exec,
+          mod::bgv_prime_chain(params.num_primes + params.special_primes(),
+                               params.prime_bits, params.n, params.t)) {}
+
+Bgv::Bgv(const BgvParams& params, ExecContext* exec,
+         const std::vector<u64>& key_chain)
     : params_(params),
+      alpha_(params.special_primes()),
       ctx_(params.n, params.t,
-           mod::bgv_prime_chain(params.num_primes, params.prime_bits,
-                                params.n, params.t),
+           {key_chain.begin(),
+            key_chain.begin() + static_cast<std::ptrdiff_t>(params.num_primes)},
            exec),
+      key_ctx_(params.n, params.t, key_chain, exec),
+      est_(std::make_unique<NoiseEstimator>(params)),
       rng_(params.seed) {
   const std::size_t top = ctx_.num_primes();
+  build_ksw_tables();
 
-  // Secret key and its square.
-  RnsPoly s = RnsPoly::sample_ternary(&ctx_, top, rng_);
-  s.to_ntt();
-  s_ntt_ = s;
-  s_sq_ntt_ = s;
+  // Secret key over the key basis (one ternary draw per coefficient, lifted
+  // to every limb); its chain limbs are the ciphertext-side secret.
+  s_key_ = RnsPoly::sample_ternary(&key_ctx_, top + alpha_, rng_);
+  s_key_.to_ntt();
+  s_ntt_ = RnsPoly::uninit(&ctx_, top, /*ntt_form=*/true);
+  std::copy_n(s_key_.rns(0).data(), top * ctx_.n(), s_ntt_.rns(0).data());
+  s_sq_ntt_ = s_ntt_;
   s_sq_ntt_.mul_inplace(s_ntt_);
 
   // Public key: b = -(a s) + t e.
   pk_a_ = RnsPoly::sample_uniform(&ctx_, top, rng_, /*ntt_form=*/true);
   pk_b_ = pk_a_;
   pk_b_.mul_inplace(s_ntt_).negate_inplace();
-  pk_b_.add_inplace(sample_t_noise());
+  pk_b_.add_inplace(sample_t_noise(ctx_));
 
   // Relinearisation keys switch the s^2 component onto s.
   rlk_ = make_ksw_key(s_sq_ntt_);
 }
 
-RnsPoly Bgv::sample_t_noise() const {
+Bgv::~Bgv() = default;
+
+void Bgv::build_ksw_tables() {
   const std::size_t top = ctx_.num_primes();
-  RnsPoly te = RnsPoly::sample_noise(&ctx_, top, rng_);
-  te.to_ntt();
+  const std::size_t width = top + alpha_;  // key-basis limbs
+  const auto shoup = [](u64 w, u64 q) {
+    return ShoupConst{w, kernels::shoup_precompute(w, q)};
+  };
+  // prod_{k in [begin, end), k != skip} prime_k mod key-basis prime i.
+  const auto product_mod = [&](std::size_t begin, std::size_t end,
+                               std::size_t skip, std::size_t i) {
+    const auto& m = key_ctx_.mod(i);
+    u64 acc = 1 % m.value();
+    for (std::size_t k = begin; k < end; ++k) {
+      if (k != skip) acc = m.mul(acc, m.reduce(key_ctx_.prime(k)));
+    }
+    return acc;
+  };
+
+  group_tables_.resize(top);
+  for (std::size_t level = 1; level <= top; ++level) {
+    GroupTables& gt = group_tables_[level - 1];
+    const std::size_t groups = (level + alpha_ - 1) / alpha_;
+    gt.hat_inv.resize(level);
+    gt.hat.assign(groups * width * alpha_, ShoupConst{});
+    for (std::size_t j = 0; j < level; ++j) {
+      const std::size_t b = j / alpha_;
+      const std::size_t begin = b * alpha_;
+      const std::size_t end = std::min(begin + alpha_, level);
+      const auto& mj = key_ctx_.mod(j);
+      gt.hat_inv[j] =
+          shoup(mj.inv(product_mod(begin, end, j, j)), mj.value());
+      for (std::size_t i = 0; i < width; ++i) {
+        if ((i >= begin && i < end) || (i >= level && i < top)) continue;
+        gt.hat[(b * width + i) * alpha_ + (j - begin)] =
+            shoup(product_mod(begin, end, j, i), key_ctx_.prime(i));
+      }
+    }
+  }
+
+  const u64 t = params_.t;
+  special_scale_.resize(alpha_);
+  for (std::size_t k = 0; k < alpha_; ++k) {
+    const auto& m = key_ctx_.mod(top + k);
+    const u64 p_hat = product_mod(top, width, top + k, top + k);
+    special_scale_[k] = shoup(m.inv(m.mul(m.reduce(t), p_hat)), m.value());
+  }
+  special_to_q_.resize(top * alpha_);
+  p_inv_.resize(top);
+  p_mod_q_.resize(top);
   for (std::size_t i = 0; i < top; ++i) {
     const auto& m = ctx_.mod(i);
+    for (std::size_t k = 0; k < alpha_; ++k) {
+      special_to_q_[i * alpha_ + k] = shoup(
+          m.mul(m.reduce(t), product_mod(top, width, top + k, i)),
+          m.value());
+    }
+    p_mod_q_[i] = product_mod(top, width, width, i);
+    p_inv_[i] = shoup(m.inv(p_mod_q_[i]), m.value());
+  }
+}
+
+RnsPoly Bgv::sample_t_noise(const RnsContext& ctx) const {
+  const std::size_t limbs = ctx.num_primes();
+  RnsPoly te = RnsPoly::sample_noise(&ctx, limbs, rng_);
+  te.to_ntt();
+  for (std::size_t i = 0; i < limbs; ++i) {
+    const auto& m = ctx.mod(i);
     auto span = te.rns(i);
     for (auto& x : span) x = m.mul(x, params_.t % m.value());
   }
@@ -163,80 +249,100 @@ RnsPoly Bgv::sample_t_noise() const {
 }
 
 KswKey Bgv::make_ksw_key(const RnsPoly& target_ntt) const {
-  // For each prime j and digit d: b = -(a s) + t e + B^d q~_j target, where
-  // q~_j's RNS image is the idempotent delta_ij — the target term only
-  // appears in component j, scaled by B^d. Rows are prime-major, the order
-  // decompose() emits digits in.
+  // Row b = -(a s) + t e + P Q~_b target over the key basis. P Q~_b is P
+  // on group b's chain limbs and 0 on every other limb (P vanishes mod each
+  // special prime), so the target term only enters those limbs, scaled by
+  // P mod q_j.
   const std::size_t top = ctx_.num_primes();
-  const unsigned dbits = params_.relin_digit_bits;
-  const unsigned per_prime = (params_.prime_bits + dbits - 1) / dbits;
+  const std::size_t groups = (top + alpha_ - 1) / alpha_;
   KswKey out;
-  out.rows.reserve(top * per_prime);
-  for (std::size_t j = 0; j < top; ++j) {
-    const auto& m = ctx_.mod(j);
-    for (unsigned d = 0; d < per_prime; ++d) {
-      KswKey::Row row;
-      row.a = RnsPoly::sample_uniform(&ctx_, top, rng_, true);
-      row.b = row.a;
-      row.b.mul_inplace(s_ntt_).negate_inplace();
-      row.b.add_inplace(sample_t_noise());
-      const u64 factor = m.pow(2, d * dbits);
+  out.rows.reserve(groups);
+  for (std::size_t b = 0; b < groups; ++b) {
+    KswKey::Row row;
+    row.a = RnsPoly::sample_uniform(&key_ctx_, top + alpha_, rng_, true);
+    row.b = row.a;
+    row.b.mul_inplace(s_key_).negate_inplace();
+    row.b.add_inplace(sample_t_noise(key_ctx_));
+    for (std::size_t j = b * alpha_; j < std::min((b + 1) * alpha_, top);
+         ++j) {
+      const auto& m = ctx_.mod(j);
       auto dst = row.b.rns(j);
       auto src = target_ntt.rns(j);
       for (std::size_t idx = 0; idx < dst.size(); ++idx) {
-        dst[idx] = m.add(dst[idx], m.mul(factor, src[idx]));
+        dst[idx] = m.add(dst[idx], m.mul(p_mod_q_[j], src[idx]));
       }
-      out.rows.push_back(std::move(row));
     }
+    out.rows.push_back(std::move(row));
   }
   return out;
 }
 
+void Bgv::convert_limb(const kernels::Backend& kern, u64* dst,
+                       const u64* src, const ShoupConst* w,
+                       std::size_t terms, std::size_t n,
+                       const mod::Modulus& m) {
+  // Runs in L1-sized chunks with one stack block as the product scratch.
+  constexpr std::size_t kChunk = 512;
+  u64 tmp[kChunk];
+  const u64 q = m.value();
+  for (std::size_t off = 0; off < n; off += kChunk) {
+    const std::size_t len = std::min(kChunk, n - off);
+    kern.mul_shoup(dst + off, src + off, len, w[0].w, w[0].w_shoup, q);
+    for (std::size_t k = 1; k < terms; ++k) {
+      kern.mul_shoup(tmp, src + k * n + off, len, w[k].w, w[k].w_shoup, q);
+      kern.add(dst + off, tmp, len, m);
+    }
+  }
+}
+
 HoistedCt Bgv::decompose(RnsPoly c0, RnsPoly c, const Ciphertext& from) const {
   const std::size_t level = from.level;
+  const std::size_t n = ctx_.n();
+  const std::size_t top = ctx_.num_primes();
+  const std::size_t width = top + alpha_;
+  const std::size_t groups = (level + alpha_ - 1) / alpha_;
+  const GroupTables& gt = group_tables_[level - 1];
+  const auto& kern = ctx_.exec().kernels();
   HoistedCt h{.c0 = std::move(c0),
               .digits = {},
               .level = level,
               .noise_bits = from.noise_bits,
               .trace_id = from.trace_id};
-  c.from_ntt();
-  const unsigned dbits = params_.relin_digit_bits;
-  // Every prime is below 2^prime_bits, so per_prime digits cover it; row w
-  // of every key pairs with digit w = j * per_prime + d.
-  const unsigned per_prime = (params_.prime_bits + dbits - 1) / dbits;
-  const u64 mask = (u64{1} << dbits) - 1;
-  h.digits.resize(level * per_prime);
-  // Each digit is extracted and forward-transformed independently — this is
-  // the dominant key-switch cost (2 NTTs per prime per level), so fan it out
-  // over the thread pool. Each task writes only its own slot.
-  parallel_for(h.digits.size(), [&](std::size_t w) {
-    const std::size_t j = w / per_prime;
-    const unsigned shift = static_cast<unsigned>(w % per_prime) * dbits;
-    const auto src = c.rns(j);
-    // Digit polynomial: ((c mod q_j) >> shift) & mask, lifted to all active
-    // primes. The digit is < 2^dbits; when that is below every active prime
-    // (always, for the shipped parameter sets) the lift is the identity, so
-    // component 0 is computed once and copied.
-    RnsPoly dig = RnsPoly::uninit(&ctx_, level, false);
-    auto first = dig.rns(0);
-    for (std::size_t idx = 0; idx < first.size(); ++idx) {
-      first[idx] = (src[idx] >> shift) & mask;
-    }
-    const bool first_exact = mask < ctx_.mod(0).value();
-    for (std::size_t i = 0; i < level; ++i) {
-      const auto& m = ctx_.mod(i);
-      auto dst = dig.rns(i);
-      if (mask < m.value() && first_exact) {
-        if (i > 0) std::copy(first.begin(), first.end(), dst.begin());
-      } else {
-        for (std::size_t idx = 0; idx < dst.size(); ++idx) {
-          dst[idx] = ((src[idx] >> shift) & mask) % m.value();
-        }
-      }
-    }
-    dig.to_ntt();
-    h.digits[w] = std::move(dig);
+  h.digits.resize(groups);
+  for (auto& d : h.digits) {
+    d = RnsPoly::uninit(&key_ctx_, width, /*ntt_form=*/true);
+  }
+  // Per chain limb j: digit j/alpha's own limb j is c's NTT limb as it is
+  // (the digit is c mod Q_b); then c_j leaves NTT form, scaled by
+  // (Q_b / q_j)^{-1} for the conversion.
+  parallel_for(level, [&](std::size_t j) {
+    auto cj = c.rns(j);
+    std::copy(cj.begin(), cj.end(), h.digits[j / alpha_].rns(j).begin());
+    ctx_.ntt(j).inverse(cj, kern);
+    kern.mul_shoup(cj.data(), cj.data(), n, gt.hat_inv[j].w,
+                   gt.hat_inv[j].w_shoup, ctx_.prime(j));
   });
+  // Per (group, target limb) outside the group: the fast conversion
+  // sum_j [c_j (Q_b/q_j)^{-1}]_{q_j} (Q_b/q_j) mod the target prime, then
+  // its forward NTT. Targets are the active chain limbs and the special
+  // limbs; each task writes only its own limb.
+  const std::size_t targets = level + alpha_;
+  parallel_for(groups * targets, [&](std::size_t task) {
+    const std::size_t b = task / targets;
+    const std::size_t r = task % targets;
+    const std::size_t begin = b * alpha_;
+    const std::size_t size = std::min(alpha_, level - begin);
+    if (r >= begin && r < begin + size) return;  // the group's own limb
+    const std::size_t i = r < level ? r : top + (r - level);
+    auto dst = h.digits[b].rns(i);
+    convert_limb(kern, dst.data(), c.rns(begin).data(),
+                 &gt.hat[(b * width + i) * alpha_], size, n,
+                 key_ctx_.mod(i));
+    key_ctx_.ntt(i).forward(dst, kern);
+  });
+  auto& counters = ctx_.exec().counters();
+  counters.bump(counters.ntt_inverse, level);
+  counters.bump(counters.ntt_forward, groups * targets - level);
   return h;
 }
 
@@ -284,7 +390,9 @@ KswKey Bgv::make_ingest_key(const Bgv& tenant) const {
                "ingest requires identical RNS primes");
   }
   // Same ring + same primes => identical NTT tables, so the tenant's secret
-  // (NTT form, foreign context) is read span-for-span.
+  // (NTT form, foreign context) is read span-for-span. The key lives over
+  // THIS evaluator's key basis and the target only enters chain limbs, so
+  // the tenant's special primes play no part.
   return make_ksw_key(tenant.s_ntt_);
 }
 
@@ -370,72 +478,140 @@ class Bgv::ScratchLease {
   HoistScratch* sc_;
 };
 
-void Bgv::key_switch(const HoistedCt& h, const RnsPoly* c1, const KswKey& key,
-                     u64 g, Ciphertext& out) const {
+void Bgv::key_switch(const HoistedCt& h, const RnsPoly* c1,
+                     std::span<const KswTarget> targets) const {
   const std::size_t n = ctx_.n();
   const std::size_t level = h.level;
+  const std::size_t top = ctx_.num_primes();
   const std::size_t nd = h.digits.size();
-  POE_ENSURE(nd <= key.rows.size(), "key-switching key has too few rows");
+  const std::size_t count = targets.size();
+  const std::size_t width = level + alpha_;  // limbs of Q_l u P
   auto& counters = ctx_.exec().counters();
-  counters.bump(counters.key_switch);
-  counters.bump(counters.key_bytes_read, nd * level * 2 * n * sizeof(u64));
-  if (g != 1) counters.bump(counters.automorphism);
-  // tau distributes over the decomposition (the B^d q~_j scale factors are
-  // integers, fixed by tau), so the inner product runs on the unpermuted
-  // digits against keys stored tau^-1-permuted (make_galois_key), and tau
-  // is applied once per output limb. It also folds over the addends for
-  // free: perm(c0 + sum) == perm(c0) + perm(sum). Nothing is read from
-  // `out`, so reusing it cannot change the result.
+  // tau distributes over the decomposition (the digits and the group
+  // idempotents are integers, fixed by tau) and over the mod-down (a slot
+  // permutation commutes with the limb-wise arithmetic), so the inner
+  // product runs on the unpermuted digits against keys stored
+  // tau^-1-permuted (make_galois_key), and tau is applied once per output
+  // limb. It also folds over the addends for free: perm(c0 + y) == perm(c0)
+  // + perm(y). Nothing is read from an `out` before it is written, so
+  // reusing one cannot change the result.
+  std::vector<std::span<const std::uint32_t>> perms(count);
+  for (std::size_t j = 0; j < count; ++j) {
+    const KswTarget& target = targets[j];
+    POE_ENSURE(nd <= target.key->rows.size(),
+               "key-switching key has too few rows");
+    counters.bump(counters.key_switch);
+    counters.bump(counters.key_bytes_read, nd * width * 2 * n * sizeof(u64));
+    counters.bump(counters.ntt_inverse, 2 * alpha_);
+    counters.bump(counters.ntt_forward, 2 * level);
+    if (target.g != 1) counters.bump(counters.automorphism);
+    perms[j] = ctx_.galois_ntt_perm(target.g);
+    Ciphertext& out = *target.out;
+    out.level = level;
+    out.parts.resize(2);
+    out.parts[0].reshape_uninit(&ctx_, level, /*ntt_form=*/true);
+    out.parts[1].reshape_uninit(&ctx_, level, /*ntt_form=*/true);
+  }
   ScratchLease lease(*this);
   HoistScratch& sc = *lease;
-  sc.acc0.reshape_uninit(&ctx_, level, /*ntt_form=*/true);
-  sc.acc1.reshape_uninit(&ctx_, level, /*ntt_form=*/true);
-  out.level = level;
-  out.parts.resize(2);
-  out.parts[0].reshape_uninit(&ctx_, level, /*ntt_form=*/true);
-  out.parts[1].reshape_uninit(&ctx_, level, /*ntt_form=*/true);
-  const auto perm = ctx_.galois_ntt_perm(g);
+  if (sc.acc.size() < 2 * count) sc.acc.resize(2 * count);
+  for (std::size_t k = 0; k < 2 * count; ++k) {
+    sc.acc[k].reshape_uninit(&key_ctx_, top + alpha_, /*ntt_form=*/true);
+  }
   const auto& kern = ctx_.exec().kernels();
-  parallel_for(level, [&](std::size_t i) {
-    // The lazy 128-bit inner product (raw digit*key sums, one Barrett flush
-    // per slot) lives in the kernel backend. Key rows live at the top level;
-    // only the first `level` limbs of the first nd rows are read.
+  // Fork 1, per (target, key-basis limb of Q_l u P): the lazy 128-bit inner
+  // product (raw digit*key sums, one Barrett flush per slot) in the kernel
+  // backend. Each special limb then leaves NTT form scaled by
+  // (t (P/p_k))^{-1}: the first half of delta = t [x t^{-1}]_P's fast
+  // conversion.
+  parallel_for(count * width, [&](std::size_t task) {
+    const std::size_t j = task / width;
+    const std::size_t r = task % width;
+    const std::size_t i = r < level ? r : top + (r - level);
+    const KswKey& key = *targets[j].key;
     std::vector<const u64*> dig(nd), kb(nd), ka(nd);
     for (std::size_t w = 0; w < nd; ++w) {
       dig[w] = h.digits[w].rns(i).data();
       kb[w] = key.rows[w].b.rns(i).data();
       ka[w] = key.rows[w].a.rns(i).data();
     }
-    const auto& m = ctx_.mod(i);
-    u64* acc0 = sc.acc0.rns(i).data();
-    u64* acc1 = sc.acc1.rns(i).data();
-    kern.ksw_accumulate(acc0, acc1, dig.data(), kb.data(), ka.data(), nd, n,
-                        nullptr, m, /*acc0=*/false, /*acc1=*/false);
-    kern.permute_add(out.parts[0].rns(i).data(), h.c0.rns(i).data(), acc0,
-                     perm.data(), n, m);
-    if (c1 != nullptr) {
-      kern.permute_add(out.parts[1].rns(i).data(), c1->rns(i).data(), acc1,
-                       perm.data(), n, m);
-    } else {
-      kern.permute(out.parts[1].rns(i).data(), acc1, perm.data(), n);
+    const auto& m = key_ctx_.mod(i);
+    auto acc0 = sc.acc[2 * j].rns(i);
+    auto acc1 = sc.acc[2 * j + 1].rns(i);
+    kern.ksw_accumulate(acc0.data(), acc1.data(), dig.data(), kb.data(),
+                        ka.data(), nd, n, nullptr, m, /*acc0=*/false,
+                        /*acc1=*/false);
+    if (r < level) return;
+    const ShoupConst& w = special_scale_[r - level];
+    for (const auto acc : {acc0, acc1}) {
+      key_ctx_.ntt(i).inverse(acc, kern);
+      kern.mul_shoup(acc.data(), acc.data(), n, w.w, w.w_shoup, m.value());
     }
   });
-  out.noise_bits = NoiseEstimator(params_).key_switch(h.noise_bits, level);
-  out.trace_id = record_node(static_cast<std::uint8_t>(NoiseOp::kKeySwitch),
-                             record_operand(h.trace_id), -1);
+  // Fork 2, per (target, chain limb): delta_i = t (sum_k v_k (P/p_k)) mod
+  // q_i (built in out's limb, which the finish overwrites), its forward
+  // NTT, then (x_i - delta_i) P^{-1} and the closing permute(-add).
+  parallel_for(count * level, [&](std::size_t task) {
+    const std::size_t j = task / level;
+    const std::size_t i = task % level;
+    Ciphertext& out = *targets[j].out;
+    const auto& m = ctx_.mod(i);
+    const ShoupConst& pinv = p_inv_[i];
+    const ShoupConst* to_q = &special_to_q_[i * alpha_];
+    RnsPoly& x0 = sc.acc[2 * j];
+    RnsPoly& x1 = sc.acc[2 * j + 1];
+    u64* acc[2] = {x0.rns(i).data(), x1.rns(i).data()};
+    const u64* special[2] = {x0.rns(top).data(), x1.rns(top).data()};
+    for (std::size_t p = 0; p < 2; ++p) {
+      auto delta = out.parts[p].rns(i);
+      convert_limb(kern, delta.data(), special[p], to_q, alpha_, n, m);
+      ctx_.ntt(i).forward(delta, kern);
+      kern.sub(acc[p], delta.data(), n, m);
+      kern.mul_shoup(acc[p], acc[p], n, pinv.w, pinv.w_shoup, m.value());
+    }
+    const std::uint32_t* perm = perms[j].data();
+    kern.permute_add(out.parts[0].rns(i).data(), h.c0.rns(i).data(), acc[0],
+                     perm, n, m);
+    if (c1 != nullptr) {
+      kern.permute_add(out.parts[1].rns(i).data(), c1->rns(i).data(), acc[1],
+                       perm, n, m);
+    } else {
+      kern.permute(out.parts[1].rns(i).data(), acc[1], perm, n);
+    }
+  });
+  for (const KswTarget& target : targets) {
+    target.out->noise_bits = est_->key_switch(h.noise_bits, level);
+    target.out->trace_id =
+        record_node(static_cast<std::uint8_t>(NoiseOp::kKeySwitch),
+                    record_operand(h.trace_id), -1);
+  }
 }
 
 void Bgv::rotate_hoisted_into(const HoistedCt& hoisted, long step,
                               const GaloisKeys& keys, Ciphertext& out) const {
+  rotate_hoisted_into(hoisted, std::span<const long>(&step, 1), keys,
+                      std::span<Ciphertext>(&out, 1));
+}
+
+void Bgv::rotate_hoisted_into(const HoistedCt& hoisted,
+                              std::span<const long> steps,
+                              const GaloisKeys& keys,
+                              std::span<Ciphertext> outs) const {
+  POE_ENSURE(steps.size() == outs.size(),
+             "rotate_hoisted_into needs one output per step");
   const std::size_t n = ctx_.n();
   const long c = static_cast<long>(n / 2);
-  const long s = ((step % c) + c) % c;
-  POE_ENSURE(s != 0, "rotate_hoisted_into requires a nonzero step");
-  const auto it = keys.keys.find(s);
-  POE_ENSURE(it != keys.keys.end(), "no rotation key for step " << s);
+  std::vector<KswTarget> targets(steps.size());
+  for (std::size_t j = 0; j < steps.size(); ++j) {
+    const long s = ((steps[j] % c) + c) % c;
+    POE_ENSURE(s != 0, "rotate_hoisted_into requires a nonzero step");
+    const auto it = keys.keys.find(s);
+    POE_ENSURE(it != keys.keys.end(), "no rotation key for step " << s);
+    targets[j] = {&it->second, galois_elt_for_step(n, s), &outs[j]};
+  }
   auto& counters = ctx_.exec().counters();
-  counters.bump(counters.hoisted_rotation);
-  key_switch(hoisted, nullptr, it->second, galois_elt_for_step(n, s), out);
+  counters.bump(counters.hoisted_rotation, steps.size());
+  key_switch(hoisted, nullptr, targets);
 }
 
 GaloisKeys Bgv::make_rotation_keys(const std::vector<long>& steps) const {
@@ -508,7 +684,7 @@ Ciphertext Bgv::encrypt(const Plaintext& pt) const {
 
   RnsPoly m = RnsPoly::from_plaintext(&ctx_, top, pt.coeffs, true);
   ct.parts[0].add_inplace(m);
-  ct.noise_bits = NoiseEstimator(params_).fresh();
+  ct.noise_bits = est_->fresh();
   ct.trace_id = record_node(static_cast<std::uint8_t>(NoiseOp::kFresh), -1, -1);
   return ct;
 }
@@ -587,7 +763,7 @@ void Bgv::add_inplace(Ciphertext& a, const Ciphertext& b) const {
   for (std::size_t i = 0; i < a.size(); ++i) {
     a.parts[i].add_inplace(b.parts[i]);
   }
-  a.noise_bits = NoiseEstimator(params_).add(a.noise_bits, b.noise_bits);
+  a.noise_bits = est_->add(a.noise_bits, b.noise_bits);
   a.trace_id = record_node(static_cast<std::uint8_t>(NoiseOp::kAdd),
                            record_operand(a.trace_id),
                            record_operand(b.trace_id));
@@ -599,7 +775,7 @@ void Bgv::sub_inplace(Ciphertext& a, const Ciphertext& b) const {
   for (std::size_t i = 0; i < a.size(); ++i) {
     a.parts[i].sub_inplace(b.parts[i]);
   }
-  a.noise_bits = NoiseEstimator(params_).add(a.noise_bits, b.noise_bits);
+  a.noise_bits = est_->add(a.noise_bits, b.noise_bits);
   a.trace_id = record_node(static_cast<std::uint8_t>(NoiseOp::kAdd),
                            record_operand(a.trace_id),
                            record_operand(b.trace_id));
@@ -612,7 +788,7 @@ void Bgv::negate_inplace(Ciphertext& a) const {
 void Bgv::add_plain_inplace(Ciphertext& a, const Plaintext& pt) const {
   RnsPoly m = RnsPoly::from_plaintext(&ctx_, a.level, pt.coeffs, true);
   a.parts[0].add_inplace(m);
-  a.noise_bits = NoiseEstimator(params_).add_plain(a.noise_bits);
+  a.noise_bits = est_->add_plain(a.noise_bits);
   a.trace_id = record_node(static_cast<std::uint8_t>(NoiseOp::kAddPlain),
                            record_operand(a.trace_id), -1);
 }
@@ -620,7 +796,7 @@ void Bgv::add_plain_inplace(Ciphertext& a, const Plaintext& pt) const {
 void Bgv::sub_plain_inplace(Ciphertext& a, const Plaintext& pt) const {
   RnsPoly m = RnsPoly::from_plaintext(&ctx_, a.level, pt.coeffs, true);
   a.parts[0].sub_inplace(m);
-  a.noise_bits = NoiseEstimator(params_).add_plain(a.noise_bits);
+  a.noise_bits = est_->add_plain(a.noise_bits);
   a.trace_id = record_node(static_cast<std::uint8_t>(NoiseOp::kAddPlain),
                            record_operand(a.trace_id), -1);
 }
@@ -628,14 +804,14 @@ void Bgv::sub_plain_inplace(Ciphertext& a, const Plaintext& pt) const {
 void Bgv::mul_plain_inplace(Ciphertext& a, const Plaintext& pt) const {
   RnsPoly m = RnsPoly::from_plaintext(&ctx_, a.level, pt.coeffs, true);
   for (auto& part : a.parts) part.mul_inplace(m);
-  a.noise_bits = NoiseEstimator(params_).mul_plain(a.noise_bits);
+  a.noise_bits = est_->mul_plain(a.noise_bits);
   a.trace_id = record_node(static_cast<std::uint8_t>(NoiseOp::kMulPlain),
                            record_operand(a.trace_id), -1);
 }
 
 void Bgv::mul_scalar_inplace(Ciphertext& a, u64 scalar) const {
   for (auto& part : a.parts) part.mul_scalar_inplace(scalar);
-  a.noise_bits = NoiseEstimator(params_).mul_scalar(a.noise_bits, scalar);
+  a.noise_bits = est_->mul_scalar(a.noise_bits, scalar);
   a.trace_id = record_node(static_cast<std::uint8_t>(NoiseOp::kMulScalar),
                            record_operand(a.trace_id), -1, scalar);
 }
@@ -651,7 +827,7 @@ void Bgv::add_scalar_inplace(Ciphertext& a, u64 scalar) const {
     auto span = a.parts[0].rns(i);
     for (auto& x : span) x = m.add(x, lifted);
   }
-  a.noise_bits = NoiseEstimator(params_).add_scalar(a.noise_bits);
+  a.noise_bits = est_->add_scalar(a.noise_bits);
   a.trace_id = record_node(static_cast<std::uint8_t>(NoiseOp::kAddScalar),
                            record_operand(a.trace_id), -1);
 }
@@ -674,7 +850,7 @@ Ciphertext Bgv::multiply(const Ciphertext& a, const Ciphertext& b) const {
   out.parts[1] = std::move(cross);
   out.parts[2] = a.parts[1];
   out.parts[2].mul_inplace(b.parts[1]);
-  out.noise_bits = NoiseEstimator(params_).multiply(a.noise_bits, b.noise_bits);
+  out.noise_bits = est_->multiply(a.noise_bits, b.noise_bits);
   out.trace_id = record_node(static_cast<std::uint8_t>(NoiseOp::kMultiply),
                              record_operand(a.trace_id),
                              record_operand(b.trace_id));
@@ -746,9 +922,8 @@ void Bgv::mod_switch_to(Ciphertext& a, std::size_t level) const {
   }
   // One estimator step per dropped prime; the tape deliberately records
   // nothing (the parameter-search replay schedules its own switches).
-  const NoiseEstimator est(params_);
   for (std::size_t cur = a.level; cur > level; --cur) {
-    a.noise_bits = est.mod_switch(a.noise_bits, a.size());
+    a.noise_bits = est_->mod_switch(a.noise_bits, a.size());
   }
   a.level = level;
 }

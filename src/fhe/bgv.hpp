@@ -5,9 +5,19 @@
 //   sk:  ternary s.            pk: (b = -(a s) + t e, a), a uniform.
 //   enc: c = (b u + t e0 + m, a u + t e1)   with ternary u.
 //   dec: m = [[c0 + c1 s (+ c2 s^2)]_q]_t   (centered reduction mod q).
-//   mul: tensor product; relinearisation via per-prime, per-digit
-//        key-switching keys (the RNS idempotent q~_j has image delta_ij, so
-//        one key set generated at the top level restricts to every level).
+//   mul: tensor product; relinearisation, rotations, the row swap and
+//        cross-domain ingest all run one special-modulus ("hybrid") key
+//        switch (Han-Ki, CT-RSA 2020; BGV form with the t-correction of
+//        Kim-Polyakov-Zucca, Asiacrypt 2021). A digit is a group of alpha
+//        consecutive chain primes, basis-extended to the active primes plus
+//        alpha special primes P; the keys live over Q u P, one row per
+//        group, and encrypt P * Q~_b * target, where the group idempotent
+//        Q~_b is 1 on the group's limbs and 0 on the others. Restricted to a
+//        lower level, Q~_b is the idempotent of that level's (possibly
+//        truncated) group b, so one key set generated at the top level
+//        serves every level. The switch ends by dividing by P with the
+//        BGV t-correction ("mod-down"); P = 1 (mod t) leaves the plaintext
+//        unchanged and the switch noise is scaled down by P.
 //   modulus switching: divide by the last prime with the t-divisibility
 //        correction delta = t [c t^{-1}]_{q_last} (centered), preserving the
 //        plaintext while shrinking noise.
@@ -22,6 +32,7 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <span>
 #include <vector>
 
 #include "fhe/poly.hpp"
@@ -33,8 +44,16 @@ struct BgvParams {
   std::uint64_t t = 65537;
   std::size_t num_primes = 10;
   unsigned prime_bits = 45;
-  unsigned relin_digit_bits = 20;
+  /// Width of one key-switching digit: a group of alpha chain primes, so
+  /// alpha * prime_bits. alpha is also the number of special primes, which
+  /// are the next alpha primes of the same chain generator. Must be a
+  /// positive whole multiple of prime_bits with alpha <= num_primes
+  /// (checked by special_primes(), hence by the Bgv constructor).
+  unsigned relin_digit_bits = 135;
   std::uint64_t seed = 1;  ///< deterministic randomness for reproducibility
+
+  /// alpha = relin_digit_bits / prime_bits; throws for an invalid width.
+  std::size_t special_primes() const;
 
   /// Tiny parameters for fast unit tests (depth ~2).
   static BgvParams toy();
@@ -63,17 +82,17 @@ struct Ciphertext {
   std::size_t size() const { return parts.size(); }
 };
 
-/// A key-switching key: for each RNS prime j and digit d, a row (b, a)
-/// with b = -(a s) + t e + B^d q~_j target. Switches a ciphertext component
-/// known to multiply `target` onto the secret s. Generated at the top level;
-/// restricts to any lower level (the RNS idempotent q~_j has the
-/// level-independent image delta_ij). Rows are flat and prime-major (every
-/// digit of prime 0, then of prime 1, ...), the order Bgv's decomposition
-/// emits digits in: row w pairs with digit w at every level, and a level-l
-/// switch reads the first rows, those of primes 0..l-1.
+/// A key-switching key: for each digit group b (chain primes [b*alpha,
+/// (b+1)*alpha), the last group possibly shorter), a row (b, a) over the key
+/// basis Q u P with b = -(a s) + t e + P Q~_b target. Switches a ciphertext
+/// component known to multiply `target` onto the secret s. Generated at the
+/// top level; restricts to any lower level (Q~_b's image is 1 on the
+/// group's limbs and 0 elsewhere at every level). Row b pairs with digit b,
+/// and a level-l switch reads the first ceil(l / alpha) rows, each on its
+/// limbs 0..l-1 and the alpha special limbs.
 struct KswKey {
   struct Row {
-    RnsPoly b, a;  // top level, NTT form
+    RnsPoly b, a;  // key basis (all L + alpha limbs), NTT form
   };
   std::vector<Row> rows;
 };
@@ -87,24 +106,27 @@ struct GaloisKeys {
   static constexpr long kRowSwap = -1;
 };
 
-/// The reusable (expensive) half of a rotation — Halevi–Shoup hoisting. The
-/// digit decomposition of c1 (digit extraction + one forward NTT per digit)
-/// dominates rotation cost; it is also rotation-independent: the per-digit
-/// scale factors B^d q~_j are integers, hence fixed by every automorphism,
-/// so tau(c1) = sum_d tau(digit_d) * B^d q~_j for ANY tau. Decompose once
-/// with Bgv::hoist, then serve each step with Bgv::rotate_hoisted_into,
-/// which closes the key inner product over the already-NTT digits and
-/// permutes the result.
+/// The reusable half of a rotation — Halevi–Shoup hoisting. The basis
+/// extension of c1 (one inverse NTT per limb, the fast conversion and the
+/// forward NTTs of every extended limb) is rotation-independent: c1 =
+/// sum_b digit_b * Q~_b with integer digits and integer idempotents, both
+/// fixed by every automorphism, so tau(c1) = sum_b tau(digit_b) * Q~_b for
+/// ANY tau. Decompose once with Bgv::hoist, then serve each step with
+/// Bgv::rotate_hoisted_into, which runs the key inner product over the
+/// already-NTT digits, the mod-down by P and the closing permutation.
 struct HoistedCt {
   RnsPoly c0;  ///< NTT form, at `level`
-  /// NTT form, prime-major: digits[w] pairs with key row w (KswKey::rows).
+  /// NTT form over the key basis: digits[b] pairs with key row b. Limb i
+  /// of a digit is key-basis prime i, so the digit fills limbs 0..level-1
+  /// and the alpha special limbs; the limbs in between are never read.
   std::vector<RnsPoly> digits;
   std::size_t level = 0;
   double noise_bits = 0.0;     ///< carried over from the hoisted ciphertext
   std::int32_t trace_id = -1;  ///< carried over (profile recording)
 };
 
-class NoiseTape;  // fhe/param_search.hpp
+class NoiseTape;       // fhe/param_search.hpp
+class NoiseEstimator;  // fhe/noise.hpp
 
 class Bgv {
  public:
@@ -113,10 +135,17 @@ class Bgv {
   /// process-wide one). Tests use this to run otherwise-identical schemes
   /// on different kernel backends side by side.
   Bgv(const BgvParams& params, ExecContext* exec);
+  ~Bgv();
 
   const BgvParams& params() const { return params_; }
   const RnsContext& rns() const { return ctx_; }
+  /// The key basis Q u P: the ciphertext chain's primes, then the alpha
+  /// special primes the key-switching keys and digits also live on.
+  const RnsContext& key_basis() const { return key_ctx_; }
   std::size_t top_level() const { return ctx_.num_primes(); }
+  /// The noise formulas for these parameters (built once; the key-switch
+  /// bound reads the key basis's primes).
+  const NoiseEstimator& estimator() const { return *est_; }
 
   // --- Encryption / decryption.
   Ciphertext encrypt(const Plaintext& pt) const;
@@ -154,24 +183,33 @@ class Bgv {
   /// make_rotation_keys including GaloisKeys::kRowSwap.
   void swap_rows_inplace(Ciphertext& a, const GaloisKeys& keys) const;
 
-  /// Digit-decompose a 2-part ciphertext once, so that any number of
-  /// rotations of it can be served by rotate_hoisted_into at a fraction of
-  /// the usual cost. Every key switch runs this same decomposition, so
+  /// Decompose a 2-part ciphertext once, so that any number of rotations of
+  /// it can be served by rotate_hoisted_into at a fraction of the usual
+  /// cost. Every key switch runs this same decomposition, so
   /// rotate_hoisted_into(hoist(ct), step) and rotate_columns_inplace(ct,
   /// step) produce bit-identical ciphertexts.
   HoistedCt hoist(const Ciphertext& ct) const;
   /// Rotation by `step` (!= 0 mod n/2) from a hoisted decomposition, written
   /// into `out`: a key inner product over the shared digits, in overwrite
-  /// mode into a leased per-evaluator HoistScratch, then the closing
-  /// automorphism as a fused permute(-add) straight into out's slabs, which
-  /// are reshaped in place. No forward NTTs at all, and a warmed-up
-  /// diagonal loop touches the pool zero times and copies zero bytes. The
-  /// result depends only on (hoisted, step, keys): a reused `out` ends up
-  /// bit-identical to a freshly allocated one. `out` may be empty or any
-  /// previous result; it must not alias a live operand. Thread-safe:
-  /// concurrent callers lease distinct scratches.
+  /// mode into a leased per-evaluator HoistScratch, the mod-down by P, then
+  /// the closing automorphism as a fused permute(-add) straight into out's
+  /// slabs, which are reshaped in place. No decomposition work: the only
+  /// NTTs are the mod-down's (2 alpha inverse, 2 level forward), and a
+  /// warmed-up diagonal loop touches the pool zero times and copies zero
+  /// bytes. The result depends only on (hoisted, step, keys): a reused
+  /// `out` ends up bit-identical to a freshly allocated one. `out` may be
+  /// empty or any previous result; it must not alias a live operand.
+  /// Thread-safe: concurrent callers lease distinct scratches.
   void rotate_hoisted_into(const HoistedCt& hoisted, long step,
                            const GaloisKeys& keys, Ciphertext& out) const;
+  /// Every rotation of one hoisted decomposition at once: outs[j] receives
+  /// the rotation by steps[j], bit-identical to rotate_hoisted_into(hoisted,
+  /// steps[j], keys, outs[j]) and with the same counters, but the switches
+  /// share the key switch's two fork-joins (one task per rotation and limb)
+  /// instead of taking two each. The outputs must be distinct.
+  void rotate_hoisted_into(const HoistedCt& hoisted,
+                           std::span<const long> steps, const GaloisKeys& keys,
+                           std::span<Ciphertext> outs) const;
 
   // --- Cross-domain ingest (multi-tenant serving).
   /// Key-switching key that moves a 2-part ciphertext encrypted under
@@ -211,6 +249,11 @@ class Bgv {
   /// hand-placed switches; simulate() in fhe/param_search.hpp replays the
   /// identical policy (NoiseEstimator::auto_drop_target).
   void auto_switch_inplace(Ciphertext& a, double margin = 2.0) const;
+  /// Before a ct-ct multiplication: switch both operands (2-part, same
+  /// level; a and b may be the same ciphertext) down to
+  /// NoiseEstimator::multiply_drop_target, which simulate() replays at
+  /// every multiplication node.
+  void switch_for_multiply(Ciphertext& a, Ciphertext& b) const;
   /// Terminal output trim: drop primes while the tracked bound keeps at
   /// least `keep_bits` of budget at the reduced level. Applied once to
   /// ciphertexts leaving the server (no further noise-heavy ops), where
@@ -233,6 +276,11 @@ class Bgv {
   void note_mask_mul(Ciphertext& a) const;
 
  private:
+  /// Builds both contexts from one chain of L + alpha primes: the
+  /// ciphertext chain is its first L.
+  Bgv(const BgvParams& params, ExecContext* exec,
+      const std::vector<std::uint64_t>& key_chain);
+
   /// Append one node to the active tape (no-op when not recording);
   /// returns the node id (-1 when not recording).
   std::int32_t record_node(std::uint8_t op, std::int32_t a, std::int32_t b,
@@ -244,9 +292,10 @@ class Bgv {
 
   /// c0 + c1 s (+ c2 s^2) in coefficient form.
   RnsPoly decrypt_core(const Ciphertext& ct) const;
-  /// t * fresh-noise polynomial in NTT form at the top level.
-  RnsPoly sample_t_noise() const;
-  /// Key-switching key for an arbitrary target polynomial (NTT, top level).
+  /// t * fresh-noise polynomial in NTT form over every limb of `ctx`.
+  RnsPoly sample_t_noise(const RnsContext& ctx) const;
+  /// Key-switching key for an arbitrary target polynomial (NTT form, read
+  /// on the chain limbs only).
   KswKey make_ksw_key(const RnsPoly& target_ntt) const;
   /// `s_coeff` is the secret in coefficient form (callers generating many
   /// keys convert it once).
@@ -256,30 +305,53 @@ class Bgv {
   // --- The one key-switch pipeline: decompose -> inner product -> finish.
   // Every switch (relinearisation, both rotation paths, row swap, ingest)
   // runs through these two functions.
-  /// Stage 1, the switched component's digit decomposition: takes c0 as is
-  /// and `c` (NTT form, at `from.level`) by value, and returns them as a
-  /// HoistedCt carrying `from`'s level, noise bound and tape node. Digit w
-  /// is ((c mod q_j) >> d*B) & (2^B - 1) for the w-th (prime j, digit d) in
-  /// prime-major order, lifted to every active prime and forward-
-  /// transformed.
+  /// Stage 1, the switched component's basis extension: takes c0 as is and
+  /// `c` (NTT form, at `from.level`) by value, and returns them as a
+  /// HoistedCt carrying `from`'s level, noise bound and tape node. Digit b
+  /// is c mod Q_b (the product of group b's primes), lifted to every other
+  /// active prime and to the special primes by fast basis conversion (so it
+  /// may exceed c mod Q_b by up to alpha - 1 multiples of Q_b); its own
+  /// limbs are c's NTT limbs as they are. Costs `level` inverse NTTs and
+  /// ceil(level / alpha) * (level + alpha) - level forward NTTs.
   HoistedCt decompose(RnsPoly c0, RnsPoly c, const Ciphertext& from) const;
-  /// Stages 2 and 3: the key inner product over h.digits, then the finish
-  ///   out = tau_g(h.c0 + <digits, key.b>, c1 + <digits, key.a>),
-  /// with c1 == nullptr read as zero (g = 1 for relinearisation and
-  /// ingest). Per RNS limb, the kernel inner product flushes into a leased
-  /// HoistScratch in overwrite mode, and one fused permute(-add) writes the
+  /// One output of a key switch: its key, the automorphism tau_g the finish
+  /// applies (g = 1 for relinearisation and ingest) and where it goes.
+  struct KswTarget {
+    const KswKey* key = nullptr;
+    std::uint64_t g = 1;
+    Ciphertext* out = nullptr;
+  };
+  /// Stages 2 and 3, for every target of one decomposition: the key inner
+  /// product over h.digits on Q_l u P, the mod-down (x - delta) / P with
+  /// delta = t [x t^{-1}]_P, and the finish
+  ///   out = tau_g(h.c0 + ip_b / P, c1 + ip_a / P),
+  /// with c1 == nullptr read as zero. Two fork-joins whatever the number
+  /// of targets: per (target, key-basis limb), the kernel inner product
+  /// flushes into a leased HoistScratch in overwrite mode and the special
+  /// limbs leave NTT form scaled by (t (P/p_k))^{-1}; per (target, chain
+  /// limb), the conversion of those limbs (delta), its forward NTT, the
+  /// subtraction, the scale by P^{-1} and one fused permute(-add) write the
   /// limb of out, whose parts are reshaped in place (no pool traffic once
-  /// warm). `out` must not alias h.c0 or *c1. Also sets out's level, noise
-  /// bound and tape node, and counts the switch.
+  /// warm; delta borrows out's limb before the finish overwrites it). Each
+  /// target's result depends only on (h, c1, key, g). No `out` may alias
+  /// h.c0, *c1 or another target's out. Also sets each out's level, noise
+  /// bound and tape node (in target order), and counts each switch.
+  void key_switch(const HoistedCt& h, const RnsPoly* c1,
+                  std::span<const KswTarget> targets) const;
+  /// The single-target switch every other path runs.
   void key_switch(const HoistedCt& h, const RnsPoly* c1, const KswKey& key,
-                  std::uint64_t g, Ciphertext& out) const;
+                  std::uint64_t g, Ciphertext& out) const {
+    const KswTarget target{&key, g, &out};
+    key_switch(h, c1, std::span<const KswTarget>(&target, 1));
+  }
 
   /// Reusable key-switch scratch: the overwrite-mode inner-product outputs
-  /// the finish reads. Leased (never shared) per switch; the bank grows to
-  /// the peak number of concurrent switches and then stops touching the
-  /// pool.
+  /// over the key basis (acc[2j], acc[2j + 1] for target j), which the
+  /// mod-down turns into the switched limbs in place. Leased (never shared)
+  /// per switch; the bank grows to the peak number of concurrent switches
+  /// and targets, then stops touching the pool.
   struct HoistScratch {
-    RnsPoly acc0, acc1;
+    std::vector<RnsPoly> acc;
     std::atomic<bool> in_use{false};
 #ifndef NDEBUG
     std::atomic<int> active{0};  ///< concurrent-aliasing detector
@@ -289,9 +361,42 @@ class Bgv {
   HoistScratch& lease_hoist_scratch() const;
   void release_hoist_scratch(HoistScratch& sc) const noexcept;
 
+  /// A constant w < q with its Shoup companion floor(w 2^64 / q).
+  struct ShoupConst {
+    std::uint64_t w = 0, w_shoup = 0;
+  };
+  /// Fast basis conversion constants of one level's digit groups (index
+  /// level - 1): for chain prime j < level in group b = j / alpha with
+  /// primes G_b, hat_inv[j] = (Q_b / q_j)^{-1} mod q_j, and hat[(b * K + i)
+  /// * alpha + j - b * alpha] = (Q_b / q_j) mod key-basis prime i (K = L +
+  /// alpha limbs). Only the last group of a level depends on the level.
+  struct GroupTables {
+    std::vector<ShoupConst> hat_inv;
+    std::vector<ShoupConst> hat;
+  };
+  void build_ksw_tables();
+  /// dst = sum_k src[k * n + x] * w[k] mod m for x < n, over `terms`
+  /// consecutive source limbs: one limb of a fast basis conversion, through
+  /// the backend's mul_shoup and add (Shoup multiplication reduces any
+  /// 64-bit input, so the source limbs may belong to larger primes).
+  static void convert_limb(const kernels::Backend& kern, std::uint64_t* dst,
+                           const std::uint64_t* src, const ShoupConst* w,
+                           std::size_t terms, std::size_t n,
+                           const mod::Modulus& m);
+
   BgvParams params_;
-  RnsContext ctx_;
+  std::size_t alpha_;   ///< special primes = primes per digit group
+  RnsContext ctx_;      ///< the ciphertext chain Q (L primes)
+  RnsContext key_ctx_;  ///< the key basis Q u P (the same L primes, then P)
+  std::unique_ptr<const NoiseEstimator> est_;
+  std::vector<GroupTables> group_tables_;
+  /// Mod-down constants: (t (P/p_k))^{-1} mod p_k per special prime k,
+  /// t (P/p_k) mod q_i at [i * alpha + k], and P^{-1} mod q_i; P mod q_i
+  /// scales the key rows' target term.
+  std::vector<ShoupConst> special_scale_, special_to_q_, p_inv_;
+  std::vector<std::uint64_t> p_mod_q_;
   mutable Xoshiro256 rng_;
+  RnsPoly s_key_;    // key basis, NTT
   RnsPoly s_ntt_;    // top level
   RnsPoly s_sq_ntt_;
   RnsPoly pk_a_;     // NTT
@@ -304,9 +409,6 @@ class Bgv {
   /// are serialized inside NoiseTape.
   mutable std::atomic<NoiseTape*> tape_{nullptr};
 };
-
-/// Restrict an NTT-form polynomial to its first `level` RNS components.
-RnsPoly restrict_to_level(const RnsPoly& p, std::size_t level);
 
 /// Galois element 3^step mod 2n for a column rotation by `step` (normalised
 /// to [0, n/2)). One modpow — shared by key generation, rotation, and the

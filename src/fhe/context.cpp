@@ -38,7 +38,6 @@ RnsContext::RnsContext(std::size_t n, std::uint64_t t,
     d.q_half.shr1();
     d.q_hat.resize(lvl);
     d.q_hat_inv.resize(lvl);
-    d.q_tilde.assign(lvl, std::vector<std::uint64_t>(lvl, 0));
     for (std::size_t j = 0; j < lvl; ++j) {
       UBig hat = UBig::one();
       for (std::size_t i = 0; i < lvl; ++i) {
@@ -47,12 +46,6 @@ RnsContext::RnsContext(std::size_t n, std::uint64_t t,
       const std::uint64_t hat_mod_qj = hat.mod_u64(primes_[j]);
       d.q_hat_inv[j] = mods_[j].inv(hat_mod_qj);
       d.q_hat[j] = hat;
-      // q_tilde_j = q_hat_j * q_hat_inv_j (an integer < q); its RNS image is
-      // (1 at j, 0 elsewhere) but relin keygen needs it mod each q_i, which
-      // is exactly that idempotent pattern.
-      for (std::size_t i = 0; i < lvl; ++i) {
-        d.q_tilde[j][i] = (i == j) ? 1 : 0;
-      }
     }
     if (lvl >= 2) {
       const std::uint64_t qlast = primes_[lvl - 1];

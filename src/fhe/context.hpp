@@ -26,9 +26,6 @@ struct LevelData {
   UBig q_half;  ///< floor(q / 2), centering threshold
   std::vector<UBig> q_hat;                ///< q / q_i
   std::vector<std::uint64_t> q_hat_inv;   ///< (q/q_i)^{-1} mod q_i
-  /// q_tilde[j][i] = (q_hat[j] * q_hat_inv[j]) mod q_i — the CRT idempotent
-  /// used by relinearisation key generation.
-  std::vector<std::vector<std::uint64_t>> q_tilde;
   /// Modulus switching from this level (dropping q_{L-1}):
   std::vector<std::uint64_t> qlast_inv;  ///< q_{L-1}^{-1} mod q_i, i < L-1
   std::uint64_t t_inv_mod_qlast = 0;     ///< t^{-1} mod q_{L-1}

@@ -14,17 +14,34 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <vector>
 
 #include "fhe/bgv.hpp"
+#include "modular/primes.hpp"
 
 namespace poe::fhe {
 
 class NoiseEstimator {
  public:
+  /// Reads the key basis's primes from the chain generator (the same
+  /// primes Bgv builds its contexts from), so construct one per parameter
+  /// set, not per operation.
   explicit NoiseEstimator(const BgvParams& params)
       : params_(params),
         log_n_(std::log2(static_cast<double>(params.n))),
-        log_t_(std::log2(static_cast<double>(params.t))) {}
+        log_t_(std::log2(static_cast<double>(params.t))),
+        alpha_(params.special_primes()) {
+    const auto chain = mod::bgv_prime_chain(params.num_primes + alpha_,
+                                            params.prime_bits, params.n,
+                                            params.t);
+    log_group_.assign(alpha_ + 1, 0.0);
+    for (std::size_t j = 0; j < alpha_; ++j) {
+      log_group_[j + 1] =
+          log_group_[j] + std::log2(static_cast<double>(chain[j]));
+      log_p_ += std::log2(
+          static_cast<double>(chain[params.num_primes + j]));
+    }
+  }
 
   /// Bound (bits) on a fresh encryption's invariant |c0 + c1 s|.
   double fresh() const {
@@ -50,24 +67,32 @@ class NoiseEstimator {
 
   double multiply(double a, double b) const { return a + b + log_n_ + 1.0; }
 
-  /// Key-switching additive term (relinearisation, rotation or ingest): the
-  /// digit decomposition contributes sum_w digit_w * (t e_w) with |digit_w| <
-  /// 2^{bits_w} and |e_w| <= 2 (eta=2 key noise), so the coefficient bound
-  /// is 2 t n sum_w 2^{bits_w} over the digits actually present at `level`
-  /// — the top digit of each prime carries only prime_bits mod digit_bits
-  /// bits, which this sum accounts for exactly. (The former bound charged a
-  /// full 2^{digit_bits} to every digit plus 2 extra slack bits; that
-  /// uniform conservatism forced mod-switches later than necessary.)
+  /// Key-switching additive term (relinearisation, rotation, row swap or
+  /// ingest) of the special-modulus switch at `level`, with dnum =
+  /// ceil(level / alpha) digit groups. The inner product over Q_l u P
+  /// leaves x0 + x1 s = P c s' + t E with E = sum_b digit_b e_b, and the
+  /// mod-down adds (t E - delta0 - delta1 s) / P to the invariant, where
+  /// delta = t [x t^{-1}]_P:
+  ///   * each basis-extended digit is below alpha Q_b (the fast conversion
+  ///     adds at most alpha - 1 multiples of Q_b to c mod Q_b);
+  ///   * key noise is |e_b| <= 2 (eta = 2), so |t E| / P <= t * 2 dnum n
+  ///     alpha Q_b / P;
+  ///   * the mod-down remainder satisfies r / P < 1, and its fast
+  ///     conversion to the chain overshoots by u < alpha multiples of P, so
+  ///     |delta0 + delta1 s| / P <= t (1 + n)(1 + alpha) for ternary s.
+  /// Hence t [2 dnum n alpha (Q_b / P) + (1 + n)(1 + alpha)], with Q_b the
+  /// largest group product at `level` (the first group: the chain is
+  /// descending) and P the special primes' product, both from the actual
+  /// primes.
   double ksw_bound(std::size_t level) const {
-    const unsigned dbits = params_.relin_digit_bits;
-    const unsigned qbits = params_.prime_bits;
-    double per_prime = 0.0;
-    for (unsigned consumed = 0; consumed < qbits; consumed += dbits) {
-      per_prime += std::exp2(static_cast<double>(
-          std::min(dbits, qbits - consumed)));
-    }
-    return log_t_ + 1.0 + log_n_ +
-           std::log2(static_cast<double>(level) * per_prime);
+    const std::size_t groups = (level + alpha_ - 1) / alpha_;
+    const double q_over_p =
+        std::exp2(log_group_[std::min(alpha_, level)] - log_p_);
+    const double n = static_cast<double>(params_.n);
+    const double a = static_cast<double>(alpha_);
+    return log_t_ + std::log2(2.0 * static_cast<double>(groups) * n * a *
+                                  q_over_p +
+                              (1.0 + n) * (1.0 + a));
   }
 
   /// Bound after one key switch at `level` — the one formula for every
@@ -124,6 +149,32 @@ class NoiseEstimator {
     return level;
   }
 
+  /// Pre-multiplication drop: the level both operands of a ct-ct product
+  /// (2-part, aligned at `level`) are switched to first. The product's bound
+  /// is the sum of the operands' (multiply), so one more drop pays whenever
+  /// it takes more than one prime's worth of bits off the two bounds
+  /// together: always when both sit a prime above the floor (the greedy
+  /// policy already takes those), and also when a squared operand sits more
+  /// than half a prime above it. Without this rule the schedule is not
+  /// monotone in the bound: a trajectory that just misses a greedy drop
+  /// squares at the higher level with about twice the excess noise and ends
+  /// a prime behind one that took it — so the live evaluator, which tracks
+  /// the actual scalar magnitudes, could end below the worst-case replay.
+  /// One rule, three users like auto_drop_target: Bgv, the coefficient
+  /// server's collective drops, and simulate.
+  std::size_t multiply_drop_target(double a, double b,
+                                   std::size_t level) const {
+    while (level > 1) {
+      const double next_a = mod_switch(a);
+      const double next_b = mod_switch(b);
+      if ((a - next_a) + (b - next_b) <= params_.prime_bits) break;
+      a = next_a;
+      b = next_b;
+      --level;
+    }
+    return level;
+  }
+
   /// Terminal right-sizing for ciphertexts leaving the server: the lowest
   /// level reachable while the bound-derived budget stays >= keep_bits.
   /// Unlike auto_drop_target (which only takes near-free switches mid-
@@ -152,6 +203,11 @@ class NoiseEstimator {
   BgvParams params_;
   double log_n_;
   double log_t_;
+  std::size_t alpha_;
+  /// log2 of the product of the first j chain primes (j <= alpha), and of
+  /// the special primes' product P.
+  std::vector<double> log_group_;
+  double log_p_ = 0.0;
 };
 
 }  // namespace poe::fhe

@@ -6,6 +6,7 @@
 #include "common/bits.hpp"
 #include "common/error.hpp"
 #include "fhe/noise.hpp"
+#include "modular/primes.hpp"
 
 namespace poe::fhe {
 
@@ -23,31 +24,60 @@ struct NodeState {
 /// sets matters; absolute values are meaningless. NTT-bearing ops carry an
 /// extra log2(n) factor.
 struct WorkModel {
-  double n, log_n, digits_per_prime;
+  double n, log_n, alpha;
 
   explicit WorkModel(const BgvParams& p)
       : n(static_cast<double>(p.n)),
         log_n(std::log2(static_cast<double>(p.n))),
-        digits_per_prime(std::ceil(static_cast<double>(p.prime_bits) /
-                                   p.relin_digit_bits)) {}
+        alpha(static_cast<double>(p.special_primes())) {}
 
   double ntt(double level) const { return level * n * log_n; }
-  /// Digit decomposition: level*D digit polys, each lifted to `level` limbs
-  /// and forward-transformed.
-  double decompose(double level) const {
-    return level * digits_per_prime * ntt(level);
+  /// Digit groups at `level` (the last one possibly truncated).
+  double groups(double level) const { return std::ceil(level / alpha); }
+  /// Limbs a level-l decomposition basis-extends: every group's digit on
+  /// Q_l u P, minus the group's own limbs.
+  double extended(double level) const {
+    return groups(level) * (level + alpha) - level;
   }
-  /// Key inner product over the decomposed digits.
+  /// Basis extension: `level` inverse NTTs, the fast conversion (alpha
+  /// products per extended limb) and the extended limbs' forward NTTs.
+  double decompose(double level) const {
+    return ntt(level) + alpha * extended(level) * n + ntt(extended(level));
+  }
+  /// Key inner product: one key row limb per digit group and limb of
+  /// Q_l u P.
   double inner_product(double level) const {
-    return level * digits_per_prime * level * n;
+    return groups(level) * (level + alpha) * n;
+  }
+  /// Scale-down by P of both outputs: 2 alpha inverse and 2 level forward
+  /// NTTs and the conversion of the special limbs to the chain.
+  double mod_down(double level) const {
+    return ntt(2.0 * alpha) + ntt(2.0 * level) + 2.0 * alpha * level * n;
   }
   double key_switch(double level) const {
-    return decompose(level) + inner_product(level) + ntt(level);
+    return decompose(level) + inner_product(level) + mod_down(level);
   }
   double mod_switch(double level, double parts) const {
     return parts * ntt(level);
   }
 };
+
+/// How many primes bgv_prime_chain can produce at width `pb`, up to `want`.
+std::size_t chain_length(unsigned pb, std::size_t n, std::uint64_t t,
+                         std::size_t want) {
+  const std::uint64_t step = 2 * static_cast<std::uint64_t>(n) * t;
+  std::uint64_t upper = (std::uint64_t{1} << pb) - 1;
+  std::size_t count = 0;
+  while (count < want) {
+    try {
+      upper = mod::previous_congruent_prime(upper, step) - 1;
+    } catch (const Error&) {
+      break;
+    }
+    ++count;
+  }
+  return count;
+}
 
 }  // namespace
 
@@ -130,12 +160,19 @@ SimResult simulate(const CircuitProfile& profile, const BgvParams& params,
         s.parts = a->parts;
         r.work += a->parts * lvl * wm.n + wm.ntt(lvl);
         break;
-      case NoiseOp::kMultiply:
+      case NoiseOp::kMultiply: {
+        // The live evaluators switch both operands down first (the shared
+        // multiply_drop_target rule); a and b may be the same node.
+        const std::size_t target =
+            est.multiply_drop_target(a->noise, b->noise, a->level);
+        align_to(*a, target);
+        align_to(*b, target);
         s.noise = est.multiply(a->noise, b->noise);
         s.level = a->level;
         s.parts = 3;
-        r.work += 4.0 * lvl * wm.n;
+        r.work += 4.0 * static_cast<double>(target) * wm.n;
         break;
+      }
       case NoiseOp::kKeySwitch:
         s.noise = est.key_switch(a->noise, a->level);
         s.level = a->level;
@@ -146,11 +183,11 @@ SimResult simulate(const CircuitProfile& profile, const BgvParams& params,
         s.noise = est.fused_affine(a->noise, a->level, node.terms);
         s.level = a->level;
         s.parts = 2;
-        // One shared hoist decomposition, then per-diagonal inner product +
-        // fused accumulate + diagonal encode.
+        // One shared hoist decomposition, then per-diagonal inner product,
+        // mod-down, fused accumulate and diagonal encode.
         r.work += wm.decompose(lvl) +
-                  node.terms *
-                      (wm.inner_product(lvl) + 2.0 * lvl * wm.n + wm.ntt(lvl));
+                  node.terms * (wm.inner_product(lvl) + wm.mod_down(lvl) +
+                                2.0 * lvl * wm.n + wm.ntt(lvl));
         break;
     }
 
@@ -206,6 +243,15 @@ double max_log_q(std::size_t n, SecurityLevel level) {
   }
 }
 
+double key_log_q(const BgvParams& params) {
+  return static_cast<double>(params.num_primes + params.special_primes()) *
+         params.prime_bits;
+}
+
+bool within_security_ceiling(const BgvParams& params, SecurityLevel level) {
+  return key_log_q(params) <= max_log_q(params.n, level);
+}
+
 SearchResult search_params(const CircuitProfile& profile,
                            const SearchConstraints& c) {
   POE_ENSURE(!profile.tape.empty(), "cannot search an empty profile");
@@ -223,30 +269,34 @@ SearchResult search_params(const CircuitProfile& profile,
         20u, bit_width_u64(2 * static_cast<std::uint64_t>(n) * c.t) + 1);
 
     for (unsigned pb = pb_min; pb <= 61; ++pb) {
-      if (2.0 * pb > cap) break;  // not even a 2-prime chain fits
-      const unsigned db_max = std::min(pb, 40u);
-      for (unsigned db = 4; db <= db_max; db += 2) {
+      // Narrow widths may not even have the primes ≡ 1 (mod 2nt) a chain
+      // plus its special primes needs.
+      const std::size_t key_primes =
+          chain_length(pb, n, c.t, static_cast<std::size_t>(cap / pb));
+      for (std::size_t alpha = 1; 2 * alpha <= key_primes; ++alpha) {
         // Feasibility is monotone in the prime count (more modulus, same
         // circuit), so take the SMALLEST feasible chain for this shape —
         // it is also the cheapest.
-        const auto np_cap = static_cast<std::size_t>(cap / pb);
-        for (std::size_t np = 2; np <= std::min<std::size_t>(np_cap, 40);
-             ++np) {
+        for (std::size_t np = std::max<std::size_t>(2, alpha);
+             np + alpha <= key_primes && np <= 40; ++np) {
           BgvParams cand{.n = n,
                          .t = c.t,
                          .num_primes = np,
                          .prime_bits = pb,
-                         .relin_digit_bits = db,
+                         .relin_digit_bits = static_cast<unsigned>(alpha * pb),
                          .seed = c.seed};
+          // The keys live mod PQ; a longer chain only grows it.
+          if (!within_security_ceiling(cand, c.security)) break;
           const SimResult sim = simulate(profile, cand, c.policy, c.band_low);
           best.candidates_tried += 1;
           if (!sim.feasible) continue;
-          const double log_q = static_cast<double>(np) * pb;
+          const double log_q = key_log_q(cand);
           const bool better =
               !best.found || sim.work < best.sim.work ||
               (sim.work == best.sim.work &&
                (log_q < best.log_q ||
-                (log_q == best.log_q && db < best.params.relin_digit_bits)));
+                (log_q == best.log_q &&
+                 alpha < best.params.special_primes())));
           if (better) {
             best.found = true;
             best.params = cand;

@@ -17,12 +17,15 @@
 //      uses live, and reports the worst budget seen anywhere plus a
 //      relative work estimate (limb-weighted op costs).
 //
-//   3. SEARCH. search_params() sweeps (n, num_primes, prime_bits,
-//      relin_digit_bits) under a security ceiling on log2(q) (HE-standard
-//      style table checked in below), keeps candidates whose replayed
-//      budget clears the requested band, and returns the cheapest by the
-//      work model. The chosen configs are pasted into protocol.cpp and a
-//      fixed-point test re-derives them so they cannot drift.
+//   3. SEARCH. search_params() sweeps (n, num_primes, prime_bits, alpha) —
+//      alpha primes per key-switching digit group, which is also the count
+//      of special primes, so relin_digit_bits = alpha * prime_bits — under
+//      a security ceiling on log2(PQ), the chain plus the special primes
+//      the keys live over (HE-standard style table checked in below). It
+//      keeps candidates whose replayed budget clears the requested band and
+//      returns the cheapest by the work model. The chosen configs are
+//      pasted into protocol.cpp and a fixed-point test re-derives them so
+//      they cannot drift.
 #pragma once
 
 #include <cstdint>
@@ -128,6 +131,17 @@ enum class SecurityLevel {
 /// Maximum log2(q) admissible at ring size n for the given level.
 double max_log_q(std::size_t n, SecurityLevel level);
 
+/// log2(PQ) in nominal bits, (num_primes + alpha) * prime_bits: the largest
+/// modulus the scheme uses, because the key-switching keys live over the
+/// chain and the alpha special primes. The security ceiling bounds this,
+/// not the ciphertext modulus alone.
+double key_log_q(const BgvParams& params);
+
+/// Whether `params` fits under the security ceiling: key_log_q(params) <=
+/// max_log_q(params.n, level). search_params tries no candidate that fails
+/// this.
+bool within_security_ceiling(const BgvParams& params, SecurityLevel level);
+
 struct SearchConstraints {
   SecurityLevel security = SecurityLevel::kDemo;
   ModSwitchPolicy policy;
@@ -147,14 +161,14 @@ struct SearchResult {
   bool found = false;
   BgvParams params;
   SimResult sim;
-  double log_q = 0.0;
+  double log_q = 0.0;         ///< key_log_q(params): log2(PQ)
   double security_cap = 0.0;  ///< max_log_q at the chosen n
   std::size_t candidates_tried = 0;
 };
 
-/// Exhaustive sweep of (n, num_primes, prime_bits, relin_digit_bits) under
-/// the constraints; returns the feasible candidate with the least replayed
-/// work. Deterministic: ties break toward smaller (n, log_q, digit bits).
+/// Exhaustive sweep of (n, num_primes, prime_bits, alpha) under the
+/// constraints; returns the feasible candidate with the least replayed
+/// work. Deterministic: ties break toward smaller (n, log2(PQ), alpha).
 SearchResult search_params(const CircuitProfile& profile,
                            const SearchConstraints& constraints);
 

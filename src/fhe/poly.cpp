@@ -212,21 +212,33 @@ void RnsPoly::drop_last_component() {
 RnsPoly RnsPoly::from_plaintext(const RnsContext* ctx, std::size_t level,
                                 std::span<const std::uint64_t> coeffs_mod_t,
                                 bool to_ntt_form) {
-  POE_ENSURE(coeffs_mod_t.size() <= ctx->n(), "plaintext too long");
-  RnsPoly p(ctx, level, false);
-  const std::uint64_t t = ctx->t();
-  for (std::size_t j = 0; j < coeffs_mod_t.size(); ++j) {
-    const std::uint64_t c = coeffs_mod_t[j];
-    POE_ENSURE(c < t, "plaintext coefficient out of range");
-    const bool negative = c > t / 2;
-    const std::uint64_t magnitude = negative ? t - c : c;
-    for (std::size_t i = 0; i < level; ++i) {
-      const auto& m = ctx->mod(i);
-      p.rns(i)[j] = negative ? m.neg(magnitude) : magnitude;
-    }
+  RnsPoly p = uninit(ctx, level, false);
+  for (std::size_t i = 0; i < level; ++i) {
+    lift_plaintext(ctx, i, coeffs_mod_t, p.rns(i));
   }
   if (to_ntt_form) p.to_ntt();
   return p;
+}
+
+void RnsPoly::lift_plaintext(const RnsContext* ctx, std::size_t i,
+                             std::span<const std::uint64_t> coeffs_mod_t,
+                             std::span<std::uint64_t> dst) {
+  POE_ENSURE(coeffs_mod_t.size() <= dst.size(), "plaintext too long");
+  const std::uint64_t t = ctx->t();
+  const std::uint64_t half = t / 2;
+  // Centered lift: c > t/2 stands for c - t, i.e. q - (t - c) mod q. The
+  // loop is branch-free so it vectorises; the range check folds into one
+  // flag tested after it (an out-of-range c only writes a discarded word).
+  const std::uint64_t wrap = ctx->prime(i) - t;
+  std::uint64_t out_of_range = 0;
+  for (std::size_t j = 0; j < coeffs_mod_t.size(); ++j) {
+    const std::uint64_t c = coeffs_mod_t[j];
+    out_of_range |= static_cast<std::uint64_t>(c >= t);
+    dst[j] = c + (c > half ? wrap : 0);
+  }
+  POE_ENSURE(out_of_range == 0, "plaintext coefficient out of range");
+  std::fill(dst.begin() + static_cast<std::ptrdiff_t>(coeffs_mod_t.size()),
+            dst.end(), 0);
 }
 
 RnsPoly RnsPoly::sample_uniform(const RnsContext* ctx, std::size_t level,

@@ -73,6 +73,12 @@ class RnsPoly {
   static RnsPoly from_plaintext(const RnsContext* ctx, std::size_t level,
                                 std::span<const std::uint64_t> coeffs_mod_t,
                                 bool to_ntt_form);
+  /// The same centered lift into component i alone (coefficient form,
+  /// zero past coeffs_mod_t.size()): from_plaintext is this per limb, so a
+  /// caller that fans limbs out over threads gets identical residues.
+  static void lift_plaintext(const RnsContext* ctx, std::size_t i,
+                             std::span<const std::uint64_t> coeffs_mod_t,
+                             std::span<std::uint64_t> dst);
 
   /// Uniform element of R_q (per-prime uniform == CRT uniform).
   static RnsPoly sample_uniform(const RnsContext* ctx, std::size_t level,

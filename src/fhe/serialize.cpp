@@ -1,5 +1,6 @@
 #include "fhe/serialize.hpp"
 
+#include <algorithm>
 #include <cmath>
 
 #include "common/bits.hpp"
@@ -11,18 +12,24 @@ namespace {
 
 constexpr std::uint32_t kMagic = 0x42475631;  // "BGV1"
 
-// Append `bits` low bits of `value` to the stream.
+// Append `bits` low bits of `value` to the stream, least significant bit
+// first. Moves up to a byte per step (the stream is the same as one bit at a
+// time): the router deserializes every shard's results serially, so this
+// loop is on the scale-out path.
 class BitWriter {
  public:
   explicit BitWriter(std::vector<std::uint8_t>& out) : out_(out) {}
 
   void write(std::uint64_t value, unsigned bits) {
-    for (unsigned b = 0; b < bits; ++b) {
-      if (bit_pos_ % 8 == 0) out_.push_back(0);
-      if ((value >> b) & 1) {
-        out_[bit_pos_ / 8] |= static_cast<std::uint8_t>(1u << (bit_pos_ % 8));
-      }
-      ++bit_pos_;
+    while (bits > 0) {
+      const unsigned used = bit_pos_ % 8;
+      if (used == 0) out_.push_back(0);
+      const unsigned take = std::min(bits, 8 - used);
+      out_.back() |= static_cast<std::uint8_t>((value & ((1u << take) - 1))
+                                               << used);
+      value >>= take;
+      bits -= take;
+      bit_pos_ += take;
     }
   }
 
@@ -39,12 +46,15 @@ class BitReader {
 
   std::uint64_t read(unsigned bits) {
     std::uint64_t value = 0;
-    for (unsigned b = 0; b < bits; ++b) {
+    for (unsigned got = 0; got < bits;) {
       POE_ENSURE(bit_pos_ / 8 < in_.size(), "truncated ciphertext stream");
-      if ((in_[bit_pos_ / 8] >> (bit_pos_ % 8)) & 1) {
-        value |= std::uint64_t{1} << b;
-      }
-      ++bit_pos_;
+      const unsigned used = bit_pos_ % 8;
+      const unsigned take = std::min(bits - got, 8 - used);
+      value |= static_cast<std::uint64_t>((in_[bit_pos_ / 8] >> used) &
+                                          ((1u << take) - 1))
+               << got;
+      got += take;
+      bit_pos_ += take;
     }
     return value;
   }

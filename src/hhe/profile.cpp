@@ -54,36 +54,36 @@ fhe::CircuitProfile record_batched_profile(const HheConfig& config) {
   const std::size_t capacity = engine.capacity();
   const std::size_t t = config.pasta.t;
 
-  // Two tenants splitting the tile space (one if the ring only fits one
-  // block), so the merge's match_levels + add path is on the tape. Tenant B
-  // uploads from its OWN BGV domain and is switched on ingest — the
-  // noisiest admissible key ciphertext (fresh + one key switch), so the
-  // search provisions for ingest-switched tenants too, not just native
-  // ones.
-  const auto key_a = profile_key(config.pasta);
-  auto key_b = key_a;
-  std::reverse(key_b.begin(), key_b.end());
+  // The engine's worst serving shape: every tile owned by a different
+  // tenant, so the merge sums `capacity` masked keys (its noise grows with
+  // log2 of the tenant count). Tenant 0 uploads from its OWN BGV domain and
+  // is switched on ingest — the noisiest admissible key ciphertext (fresh +
+  // one key switch), so the search provisions for ingest-switched tenants
+  // too, not just native ones.
+  const auto key = profile_key(config.pasta);
   fhe::BgvParams foreign_params = config.bgv;
   foreign_params.seed = config.bgv.seed + 17;
   const fhe::Bgv foreign_bgv(foreign_params);
-  std::vector<std::size_t> tiles_a, tiles_b;
-  for (std::size_t m = 0; m < capacity; ++m) {
-    (m % 2 == 0 ? tiles_a : tiles_b).push_back(m);
-  }
+  std::vector<std::vector<std::size_t>> owned(capacity);
+  for (std::size_t m = 0; m < capacity; ++m) owned[m] = {m};
 
   fhe::NoiseTape tape;
   const CounterSnapshot before = bgv.rns().exec().snapshot();
   bgv.begin_recording(&tape);
 
-  const fhe::Ciphertext key_ct_a =
-      encrypt_key_batched(config, bgv, encoder, engine.layout(), key_a);
-  const fhe::Ciphertext key_ct_b = bgv.ingest_switch(
-      encrypt_key_batched(config, foreign_bgv, encoder, engine.layout(),
-                          key_b),
-      bgv.make_ingest_key(foreign_bgv));
+  std::vector<fhe::Ciphertext> key_cts;
+  key_cts.reserve(capacity);
+  key_cts.push_back(bgv.ingest_switch(
+      encrypt_key_batched(config, foreign_bgv, encoder, engine.layout(), key),
+      bgv.make_ingest_key(foreign_bgv)));
+  for (std::size_t m = 1; m < capacity; ++m) {
+    key_cts.push_back(
+        encrypt_key_batched(config, bgv, encoder, engine.layout(), key));
+  }
   std::vector<TenantTiles> tenants;
-  tenants.push_back({&key_ct_a, tiles_a});
-  if (!tiles_b.empty()) tenants.push_back({&key_ct_b, tiles_b});
+  for (std::size_t m = 0; m < capacity; ++m) {
+    tenants.push_back({&key_cts[m], owned[m]});
+  }
   const fhe::Ciphertext merged = engine.merge_tenant_keys(tenants);
 
   std::vector<SimdBlockRequest> requests(capacity);
@@ -95,12 +95,11 @@ fhe::CircuitProfile record_batched_profile(const HheConfig& config) {
   const PreparedSimdBatch batch = engine.prepare(requests);
   const fhe::Ciphertext out = engine.evaluate(merged, batch);
 
+  // Every deliverable is the same extraction of one batch output, so the
+  // ingest-switched tenant's and one native tenant's stand for all.
   fhe::CircuitProfile profile;
-  const fhe::Ciphertext extracted_a = engine.extract_tiles(out, tiles_a);
-  profile.outputs.push_back(extracted_a.trace_id);
-  if (!tiles_b.empty()) {
-    const fhe::Ciphertext extracted_b = engine.extract_tiles(out, tiles_b);
-    profile.outputs.push_back(extracted_b.trace_id);
+  for (std::size_t m = 0; m < std::min<std::size_t>(capacity, 2); ++m) {
+    profile.outputs.push_back(engine.extract_tiles(out, owned[m]).trace_id);
   }
   bgv.end_recording();
   profile.ops = bgv.rns().exec().snapshot() - before;

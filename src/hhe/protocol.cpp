@@ -28,7 +28,7 @@ HheConfig HheConfig::demo() {
                            .t = cfg.pasta.p,
                            .num_primes = 11,
                            .prime_bits = 48,
-                           .relin_digit_bits = 24,
+                           .relin_digit_bits = 192,
                            .seed = 11};
   return cfg;
 }
@@ -39,9 +39,9 @@ HheConfig HheConfig::test() {
       .t = 8, .rounds = 4, .p = 65537, .name = "PASTA-mini"};
   cfg.bgv = fhe::BgvParams{.n = 1024,
                            .t = cfg.pasta.p,
-                           .num_primes = 8,
-                           .prime_bits = 57,
-                           .relin_digit_bits = 30,
+                           .num_primes = 7,
+                           .prime_bits = 61,
+                           .relin_digit_bits = 122,
                            .seed = 11};
   return cfg;
 }
@@ -53,9 +53,9 @@ HheConfig HheConfig::batched_demo() {
   HheConfig cfg = demo();
   cfg.bgv = fhe::BgvParams{.n = 1024,
                            .t = cfg.pasta.p,
-                           .num_primes = 12,
+                           .num_primes = 10,
                            .prime_bits = 60,
-                           .relin_digit_bits = 20,
+                           .relin_digit_bits = 120,
                            .seed = 11};
   return cfg;
 }
@@ -64,9 +64,9 @@ HheConfig HheConfig::batched_test() {
   HheConfig cfg = test();
   cfg.bgv = fhe::BgvParams{.n = 1024,
                            .t = cfg.pasta.p,
-                           .num_primes = 12,
-                           .prime_bits = 57,
-                           .relin_digit_bits = 20,
+                           .num_primes = 10,
+                           .prime_bits = 60,
+                           .relin_digit_bits = 120,
                            .seed = 11};
   return cfg;
 }
@@ -140,7 +140,7 @@ std::vector<Ciphertext> HheServer::keystream_circuit(
   std::vector<Ciphertext> right(key_cts_.begin() + static_cast<long>(t),
                                 key_cts_.end());
 
-  const fhe::NoiseEstimator est(config_.bgv);
+  const fhe::NoiseEstimator& est = bgv_.estimator();
   // Drops move whole state vectors to one collectively-safe target (greedy
   // on the worst tracked bound, the shared auto_drop_target policy) instead
   // of per-ciphertext: rows carry slightly different bounds (the mul_scalar
@@ -229,11 +229,26 @@ std::vector<Ciphertext> HheServer::keystream_circuit(
     auto_drop2(left, right);
   };
 
-  // Squaring of a whole vector: tensor in parallel, drop the 3-part results
-  // while the shrink is cheapest (before relinearisation's per-prime digit
-  // work), relinearise, drop again. Each drop is collective so the vector
-  // stays level-aligned.
-  auto square_vec = [&](const std::vector<Ciphertext>& x, std::size_t count) {
+  // Before a ct-ct product, both operand vectors drop together to the
+  // level the shared multiply_drop_target rule picks for their worst rows
+  // (simulate replays it at every multiplication node).
+  auto drop_for_multiply = [&](std::span<Ciphertext> a,
+                               std::span<Ciphertext> b) {
+    double worst_a = 0.0, worst_b = 0.0;
+    for (const auto& ct : a) worst_a = std::max(worst_a, ct.noise_bits);
+    for (const auto& ct : b) worst_b = std::max(worst_b, ct.noise_bits);
+    const std::size_t target =
+        est.multiply_drop_target(worst_a, worst_b, a.front().level);
+    for (auto& ct : a) bgv_.mod_switch_to(ct, target);
+    for (auto& ct : b) bgv_.mod_switch_to(ct, target);
+  };
+
+  // Squaring of a whole vector: drop the operands, tensor in parallel, drop
+  // the 3-part results while the shrink is cheapest (before
+  // relinearisation's basis extension), relinearise, drop again. Each drop
+  // is collective so the vector stays level-aligned.
+  auto square_vec = [&](std::vector<Ciphertext>& x, std::size_t count) {
+    drop_for_multiply(x, x);
     std::vector<Ciphertext> sq(count);
     parallel_for(count,
                  [&](std::size_t j) { sq[j] = bgv_.multiply(x[j], x[j]); });
@@ -255,9 +270,12 @@ std::vector<Ciphertext> HheServer::keystream_circuit(
   };
 
   auto cube = [&](std::vector<Ciphertext>& x) {
-    const std::vector<Ciphertext> sq = square_vec(x, t);
+    std::vector<Ciphertext> sq = square_vec(x, t);
     parallel_for(t, [&](std::size_t j) {
-      bgv_.mod_switch_to(x[j], sq[j].level);
+      bgv_.mod_switch_to(x[j], sq.front().level);
+    });
+    drop_for_multiply(sq, x);
+    parallel_for(t, [&](std::size_t j) {
       x[j] = bgv_.multiply(sq[j], x[j]);
     });
     auto_drop(x);

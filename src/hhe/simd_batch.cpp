@@ -1,8 +1,12 @@
 #include "hhe/simd_batch.hpp"
 
 #include <set>
+#include <span>
+#include <utility>
+#include <vector>
 
 #include "common/error.hpp"
+#include "common/parallel.hpp"
 #include "modular/modulus.hpp"
 
 namespace poe::hhe {
@@ -210,56 +214,88 @@ Ciphertext SimdBatchEngine::evaluate(const Ciphertext& key_ct,
              "batch was prepared for a different cipher");
 
   Ciphertext state = key_ct;
-  // One rotation output reused across every diagonal of every layer: the
-  // in-place hoisted rotation reshapes these slabs instead of allocating,
-  // so after the first layer the whole diagonal loop runs pool-silent.
-  Ciphertext rot;
+  // One output slot per rotation step, reused across layers: the hoisted
+  // rotation reshapes these slabs instead of allocating, so after the first
+  // layer the whole diagonal loop runs pool-silent. Each accumulator has a
+  // diagonal scratch poly whose limb i is the encode buffer of the task
+  // that owns limb i.
+  std::vector<long> steps;
+  std::vector<Ciphertext> rots(s - 1);
+  std::vector<const Ciphertext*> source(s);
+  fhe::RnsPoly diag_scratch[2];
+  const fhe::RnsContext& rns = bgv_.rns();
+  const auto& kern = rns.exec().kernels();
 
   // One Mix-composed affine layer: full diagonal method over a hoisted
-  // state. The in-tile parts accumulate directly; the wrap parts (already
-  // pre-rotated by +s in prepare()) accumulate separately and take ONE
-  // closing rotation by cols - s. Each diagonal is fused into its
-  // accumulator with add_mul (zero-seeded accumulators make term 1 a plain
-  // multiply bit-for-bit), so no per-diagonal ciphertext temporary exists.
+  // state. The in-tile parts (accumulator 0) accumulate directly; the wrap
+  // parts (accumulator 1, already pre-rotated by +s in prepare())
+  // accumulate separately and take ONE closing rotation by cols - s. The
+  // layer runs in three fork-joins besides the hoist: every rotation at
+  // once (rotate_hoisted_into over all live steps), then one fork over
+  // (accumulator, limb) that lifts each live diagonal into the limb, runs
+  // its forward NTT and fuses it into the accumulator with add_mul.
+  // Zero-seeded accumulators make term 1 a plain multiply, and each limb
+  // sees the same products in the same order as encoding every diagonal
+  // whole and calling add_mul_inplace after its rotation, so the bits are
+  // the same; but the calling thread no longer does the encodes and
+  // products alone, and a layer meets the pool's barrier a handful of
+  // times instead of twice per rotation.
   auto affine = [&](std::size_t l) {
-    const fhe::HoistedCt hoisted = bgv_.hoist(state);
-    Ciphertext inner_a, inner_b;
-    bool init_a = false, init_b = false;
-    std::size_t terms_a = 0, terms_b = 0;
+    const std::size_t level = state.level;
+    const auto& diags = batch.diags[l];
+    std::size_t terms[2] = {0, 0};
+    steps.clear();
     for (std::size_t k = 0; k < s; ++k) {
-      const auto& pair = batch.diags[l][k];
-      const bool have_a = !pair[0].coeffs.empty();
-      const bool have_b = !pair[1].coeffs.empty();
-      if (!have_a && !have_b) continue;
-      const Ciphertext* src = &state;
-      if (k != 0) {
-        bgv_.rotate_hoisted_into(hoisted, static_cast<long>(k),
-                                 *rotation_keys_, rot);
-        src = &rot;
-      }
-      for (int variant = 0; variant < 2; ++variant) {
-        if (pair[variant].coeffs.empty()) continue;
-        const fhe::RnsPoly diag_ntt =
-            fhe::RnsPoly::from_plaintext(&bgv_.rns(), state.level,
-                                         pair[variant].coeffs,
-                                         /*to_ntt_form=*/true);
-        Ciphertext& inner = variant == 0 ? inner_a : inner_b;
-        bool& init = variant == 0 ? init_a : init_b;
-        ++(variant == 0 ? terms_a : terms_b);
-        if (!init) {
-          inner.level = state.level;
-          inner.parts.emplace_back(&bgv_.rns(), state.level,
-                                   /*ntt_form=*/true);
-          inner.parts.emplace_back(&bgv_.rns(), state.level,
-                                   /*ntt_form=*/true);
-          init = true;
-        }
-        for (std::size_t p = 0; p < 2; ++p) {
-          inner.parts[p].add_mul_inplace(src->parts[p], diag_ntt);
-        }
+      const bool live_a = !diags[k][0].coeffs.empty();
+      const bool live_b = !diags[k][1].coeffs.empty();
+      terms[0] += live_a ? 1 : 0;
+      terms[1] += live_b ? 1 : 0;
+      source[k] = k == 0 ? &state : nullptr;
+      if (k != 0 && (live_a || live_b)) steps.push_back(static_cast<long>(k));
+    }
+    POE_ENSURE(terms[0] + terms[1] > 0, "affine layer produced no terms");
+    if (!steps.empty()) {
+      const std::span<Ciphertext> outs(rots.data(), steps.size());
+      bgv_.rotate_hoisted_into(bgv_.hoist(state), steps, *rotation_keys_,
+                               outs);
+      for (std::size_t j = 0; j < steps.size(); ++j) {
+        source[static_cast<std::size_t>(steps[j])] = &outs[j];
       }
     }
-    POE_ENSURE(init_a || init_b, "affine layer produced no terms");
+    Ciphertext inner[2];
+    for (std::size_t v = 0; v < 2; ++v) {
+      if (terms[v] == 0) continue;
+      inner[v].level = level;
+      inner[v].parts.emplace_back(&rns, level, /*ntt_form=*/true);
+      inner[v].parts.emplace_back(&rns, level, /*ntt_form=*/true);
+      diag_scratch[v].reshape_uninit(&rns, level, /*ntt_form=*/true);
+    }
+    parallel_for(2 * level, [&](std::size_t task) {
+      const std::size_t v = task / level;
+      const std::size_t i = task % level;
+      if (terms[v] == 0) return;
+      const auto& m = rns.mod(i);
+      const auto diag = diag_scratch[v].rns(i);
+      for (std::size_t k = 0; k < s; ++k) {
+        const auto& coeffs = diags[k][v].coeffs;
+        if (coeffs.empty()) continue;
+        fhe::RnsPoly::lift_plaintext(&rns, i, coeffs, diag);
+        rns.ntt(i).forward(diag, kern);
+        for (std::size_t p = 0; p < 2; ++p) {
+          kern.add_mul(inner[v].parts[p].rns(i).data(),
+                       source[k]->parts[p].rns(i).data(), diag.data(),
+                       diag.size(), m);
+        }
+      }
+    });
+    auto& counters = rns.exec().counters();
+    counters.bump(counters.ntt_forward, level * (terms[0] + terms[1]));
+    Ciphertext& inner_a = inner[0];
+    Ciphertext& inner_b = inner[1];
+    const bool init_a = terms[0] > 0;
+    const bool init_b = terms[1] > 0;
+    const std::size_t terms_a = terms[0];
+    const std::size_t terms_b = terms[1];
     // The raw add_mul loops bypassed the tracked bound; account for the
     // fused diagonal products before the accumulators re-enter the API.
     if (init_a) bgv_.note_fused_affine(inner_a, state, terms_a);
@@ -288,10 +324,12 @@ Ciphertext SimdBatchEngine::evaluate(const Ciphertext& key_ct,
   };
 
   // The dense diagonals inflate the noise by ~||pt|| * n per layer, so each
-  // ct-ct multiplication sheds primes as the tracked bound allows. The
-  // first drop runs fused on the 3-part tensor BEFORE relinearising, so the
-  // relin digit decomposition works at the lower level.
-  auto mul_reduced = [&](const Ciphertext& a, const Ciphertext& b) {
+  // ct-ct multiplication sheds primes as the tracked bound allows: the
+  // operands first drop to the level the product favours, and the first
+  // drop after it runs fused on the 3-part tensor BEFORE relinearising, so
+  // the relin decomposition works at the lower level.
+  auto mul_reduced = [&](Ciphertext& a, Ciphertext& b) {
+    bgv_.switch_for_multiply(a, b);
     Ciphertext prod = bgv_.multiply(a, b);
     bgv_.auto_switch_inplace(prod, config_.switch_margin);
     bgv_.relinearize_inplace(prod);
@@ -316,7 +354,7 @@ Ciphertext SimdBatchEngine::evaluate(const Ciphertext& key_ct,
   };
 
   auto cube = [&] {
-    const Ciphertext sq = mul_reduced(state, state);
+    Ciphertext sq = mul_reduced(state, state);
     bgv_.mod_switch_to(state, sq.level);
     state = mul_reduced(sq, state);
   };
@@ -353,20 +391,33 @@ fhe::Plaintext SimdBatchEngine::tile_mask(
 Ciphertext SimdBatchEngine::merge_tenant_keys(
     std::span<const TenantTiles> tenants) const {
   POE_ENSURE(!tenants.empty(), "merge requires at least one tenant");
-  Ciphertext merged;
-  bool first = true;
+  // A binary counter of partial sums: two sums of 2^r masked keys merge as
+  // soon as they meet, so at most log2(T) + 1 are alive and the leftovers
+  // (distinct ranks, smallest on top) fold smallest first. Every key then
+  // passes through ceil(log2 T) additions, and so does the tracked bound
+  // (add charges a bit per addition); a running sum would charge T - 1.
+  std::vector<std::pair<std::size_t, Ciphertext>> partial;
+  const auto add_into = [&](Ciphertext& into, Ciphertext& other) {
+    bgv_.match_levels(into, other);
+    bgv_.add_inplace(into, other);
+  };
   for (const auto& tenant : tenants) {
     POE_ENSURE(tenant.key_ct != nullptr, "merge: null tenant key");
     POE_ENSURE(!tenant.tiles.empty(), "merge: tenant owns no tiles");
     Ciphertext masked = *tenant.key_ct;
     bgv_.mul_plain_inplace(masked, tile_mask(tenant.tiles));
-    if (first) {
-      merged = std::move(masked);
-      first = false;
-    } else {
-      bgv_.match_levels(merged, masked);
-      bgv_.add_inplace(merged, masked);
+    std::size_t rank = 0;
+    while (!partial.empty() && partial.back().first == rank) {
+      add_into(masked, partial.back().second);
+      partial.pop_back();
+      ++rank;
     }
+    partial.emplace_back(rank, std::move(masked));
+  }
+  Ciphertext merged = std::move(partial.back().second);
+  partial.pop_back();
+  for (; !partial.empty(); partial.pop_back()) {
+    add_into(merged, partial.back().second);
   }
   return merged;
 }

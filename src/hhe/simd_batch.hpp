@@ -17,9 +17,9 @@
 // merge_tenant_keys({key, {0}}) -> evaluate -> extract_tiles({0}).
 //
 // The affine layer runs the FULL diagonal method on a hoisted state:
-// Bgv::hoist digit-decomposes the state once and all 2t-1 rotations are
-// served from it by Bgv::rotate_hoisted_into (slot permutation + key inner
-// product, no forward NTTs) — with hoisting, 2t shared-decomposition
+// Bgv::hoist decomposes the state once and all 2t-1 rotations are served
+// from it by Bgv::rotate_hoisted_into (key inner product, mod-down and slot
+// permutation, no decomposition work) — with hoisting, 2t shared-decomposition
 // rotations are cheaper than a baby/giant split whose giant steps would each
 // redo the decomposition. Two algebraic folds keep the circuit tile-local
 // at the depth of a one-block evaluation:
@@ -133,7 +133,9 @@ class SimdBatchEngine {
   /// well-defined garbage that extract_tiles discards). Because the whole
   /// keystream circuit is tile-local, tenant A's output slots are
   /// independent of what any other tile's key is — dropping (quarantining)
-  /// a tenant from the merge cannot perturb co-packed tenants.
+  /// a tenant from the merge cannot perturb co-packed tenants. The masked
+  /// keys are summed pairwise, so the tracked bound grows by ceil(log2 T)
+  /// bits for T tenants, as the sum's noise does.
   fhe::Ciphertext merge_tenant_keys(std::span<const TenantTiles> tenants)
       const;
 

@@ -95,7 +95,9 @@ class Backend {
                        const std::uint64_t* b, std::size_t n,
                        const mod::Modulus& m) const = 0;
   /// dst[i] = src[i] * w mod q via Shoup (w < q, w_shoup from
-  /// shoup_precompute) — broadcast scalar multiplication.
+  /// shoup_precompute) — broadcast scalar multiplication. src[i] may be any
+  /// 64-bit value (the key switch's basis conversions feed residues of
+  /// other primes); the output is fully reduced.
   virtual void mul_shoup(std::uint64_t* dst, const std::uint64_t* src,
                          std::size_t n, std::uint64_t w,
                          std::uint64_t w_shoup, std::uint64_t q) const = 0;

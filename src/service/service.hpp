@@ -62,6 +62,7 @@ struct ServiceConfig {
   std::size_t max_sessions = 8;     ///< LRU-evict beyond this many clients
   std::size_t max_batch_blocks = 0; ///< 0 = the engine's full capacity
   bool pipelined = true;            ///< false: prepare+evaluate in sequence
+                                    ///< (always so for a one-batch call)
   std::size_t max_tracked_nonces = 1024;  ///< replay window per session
 
   /// Deadline-aware flush: a forming batch whose OLDEST block has waited

@@ -299,6 +299,57 @@ TEST(SimdBatchDifferential, FullCapacityRoundTrip) {
   }
 }
 
+// A full batch in which every tile belongs to a different tenant (the
+// saturation wave of a sparse-tenant workload): capacity masked keys are
+// merged, so the merge's noise growth is at its largest. Every tile must
+// decode to its own tenant's message, and each extracted deliverable must
+// keep a tracked bound that is sound and clears the output band.
+TEST(SimdBatchDifferential, FullBatchOfOneTileTenants) {
+  auto& s = batched();
+  Xoshiro256 rng(6464);
+  hhe::SimdBatchEngine engine(s.config, s.bgv, s.simd_keys);
+  const std::size_t blocks = engine.capacity();
+  std::vector<fhe::Ciphertext> key_cts(blocks);
+  std::vector<std::vector<std::size_t>> owned(blocks);
+  std::vector<hhe::TenantTiles> tenants;
+  std::vector<hhe::SimdBlockRequest> reqs(blocks);
+  std::vector<std::vector<u64>> msgs(blocks);
+  for (std::size_t m = 0; m < blocks; ++m) {
+    const auto key = pasta::PastaCipher::random_key(s.config.pasta, rng);
+    key_cts[m] =
+        hhe::encrypt_key_batched(s.config, s.bgv, s.encoder, s.layout, key);
+    owned[m] = {m};
+    msgs[m] = random_msg(rng, s.config.pasta.p, 1 + rng.below(s.config.pasta.t));
+    reqs[m].nonce = 100 + m;
+    reqs[m].counter = 0;
+    const auto ks =
+        pasta::PastaCipher(s.config.pasta, key).keystream(reqs[m].nonce, 0);
+    reqs[m].symmetric_ct.resize(msgs[m].size());
+    for (std::size_t i = 0; i < msgs[m].size(); ++i) {
+      reqs[m].symmetric_ct[i] = (msgs[m][i] + ks[i]) % s.config.pasta.p;
+    }
+  }
+  for (std::size_t m = 0; m < blocks; ++m) {
+    tenants.push_back({&key_cts[m], owned[m]});
+  }
+
+  const auto out = engine.evaluate(engine.merge_tenant_keys(tenants),
+                                   engine.prepare(reqs));
+  for (std::size_t m = 0; m < blocks; ++m) {
+    const auto mine = engine.extract_tiles(out, owned[m]);
+    ASSERT_EQ(hhe::SimdBatchEngine::decode_block(s.config, s.bgv, mine, m,
+                                                 msgs[m].size()),
+              msgs[m])
+        << "tile " << m;
+    if (m == 0) {
+      EXPECT_LE(s.bgv.predicted_budget_bits(mine),
+                s.bgv.noise_budget_bits(mine));
+      EXPECT_GE(s.bgv.predicted_budget_bits(mine),
+                s.config.output_budget_bits);
+    }
+  }
+}
+
 // ------------------------------------- hoisted == unhoisted rotation path
 
 namespace {
@@ -354,6 +405,86 @@ TEST(HoistedRotationDifferential, AgreesWithUnhoistedAcrossStepsAndLevels) {
                 s.layout.rotate_columns(logical, step))
           << "step " << step << " drop " << drop;
       EXPECT_GT(s.bgv.noise_budget_bits(via_hoist), 0.0) << "step " << step;
+    }
+  }
+}
+
+// The special-modulus switch at every level of batched_test's chain, under
+// the checked-in alpha and under alpha = 3 and 4, so that some levels end
+// in a truncated digit group of every size below alpha. At each level the
+// relinearisation, both rotation paths, the row swap and the ingest switch
+// decrypt to the plaintext oracle (SlotLayout for the slot moves), the
+// tracked bound claims no more budget than the secret key measures, and the
+// hoisted rotation gives the unhoisted one's bits. A product needs about
+// two primes of budget on this chain, so relinearisation runs from level 2.
+TEST(KeySwitchDifferential, EveryLevelAndTruncatedGroupMatchOracles) {
+  const hhe::HheConfig config = hhe::HheConfig::batched_test();
+  const fhe::BatchEncoder encoder(config.bgv.n, config.bgv.t);
+  const fhe::SlotLayout layout(config.bgv.n, config.bgv.t);
+  const mod::Modulus mt(config.bgv.t);
+  const auto sound = [](const fhe::Bgv& bgv, const fhe::Ciphertext& ct) {
+    return bgv.predicted_budget_bits(ct) <= bgv.noise_budget_bits(ct);
+  };
+  for (const std::size_t alpha :
+       {config.bgv.special_primes(), std::size_t{3}, std::size_t{4}}) {
+    fhe::BgvParams params = config.bgv;
+    params.relin_digit_bits = static_cast<unsigned>(alpha) * params.prime_bits;
+    fhe::BgvParams tenant_params = params;
+    tenant_params.seed += 1;
+    const fhe::Bgv bgv(params), tenant(tenant_params);
+    const fhe::KswKey ingest_key = bgv.make_ingest_key(tenant);
+    const std::vector<long> steps{1, 5};
+    const fhe::GaloisKeys keys =
+        bgv.make_rotation_keys({1, 5, fhe::GaloisKeys::kRowSwap});
+
+    Xoshiro256 rng(515151 + alpha);
+    const auto logical = random_msg(rng, config.bgv.t, config.bgv.n);
+    auto ct = bgv.encrypt(encoder.encode(layout.to_slots(logical)));
+    auto upload = tenant.encrypt(encoder.encode(layout.to_slots(logical)));
+    std::vector<u64> squared(logical.size());
+    for (std::size_t i = 0; i < logical.size(); ++i) {
+      squared[i] = mt.mul(logical[i], logical[i]);
+    }
+    const auto decoded = [&](const fhe::Ciphertext& c) {
+      return layout.from_slots(encoder.decode(bgv.decrypt(c)));
+    };
+
+    for (std::size_t level = bgv.top_level(); level >= 1; --level) {
+      bgv.mod_switch_to(ct, level);
+      tenant.mod_switch_to(upload, level);
+      SCOPED_TRACE("alpha " + std::to_string(alpha) + " level " +
+                   std::to_string(level));
+
+      const fhe::HoistedCt hoisted = bgv.hoist(ct);
+      for (const long step : steps) {
+        fhe::Ciphertext via_hoist;
+        bgv.rotate_hoisted_into(hoisted, step, keys, via_hoist);
+        fhe::Ciphertext unhoisted = ct;
+        bgv.rotate_columns_inplace(unhoisted, step, keys);
+        EXPECT_TRUE(ciphertext_bits_equal(via_hoist, unhoisted))
+            << "step " << step;
+        EXPECT_EQ(decoded(via_hoist), layout.rotate_columns(logical, step))
+            << "step " << step;
+        EXPECT_TRUE(sound(bgv, via_hoist)) << "step " << step;
+      }
+
+      fhe::Ciphertext swapped = ct;
+      bgv.swap_rows_inplace(swapped, keys);
+      EXPECT_EQ(decoded(swapped), layout.swap_rows(logical));
+      EXPECT_TRUE(sound(bgv, swapped));
+
+      const fhe::Ciphertext ingested = bgv.ingest_switch(upload, ingest_key);
+      EXPECT_EQ(ingested.level, level);
+      EXPECT_EQ(decoded(ingested), logical);
+      EXPECT_TRUE(sound(bgv, ingested));
+
+      if (level >= 2) {
+        fhe::Ciphertext product = bgv.multiply(ct, ct);
+        bgv.relinearize_inplace(product);
+        EXPECT_EQ(product.size(), 2u);
+        EXPECT_EQ(decoded(product), squared);
+        EXPECT_TRUE(sound(bgv, product));
+      }
     }
   }
 }

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "common/rng.hpp"
 #include "fhe/bgv.hpp"
 #include "fhe/encoding.hpp"
@@ -435,6 +437,31 @@ TEST(Poly, AutomorphismIsRingHomomorphism) {
   }
 }
 
+TEST(Poly, LiftPlaintextIsFromPlaintextPerLimb) {
+  // lift_plaintext is from_plaintext one limb at a time (the affine layers
+  // fan limbs out over threads): same centered residues, zeros past the
+  // plaintext's length, and a short plaintext overwrites a dirty buffer.
+  const std::size_t n = 64;
+  const std::uint64_t t = 65537;
+  const auto primes = mod::ntt_prime_chain(3, 40, n);
+  RnsContext ctx(n, t, primes);
+  for (const std::size_t len : {n, n / 2, std::size_t{1}}) {
+    const auto coeffs = random_values(len, t, 53 + len);
+    const RnsPoly want = RnsPoly::from_plaintext(&ctx, 3, coeffs, false);
+    std::vector<std::uint64_t> limb(n, ~std::uint64_t{0});
+    for (std::size_t i = 0; i < 3; ++i) {
+      RnsPoly::lift_plaintext(&ctx, i, coeffs, limb);
+      for (std::size_t j = 0; j < n; ++j) {
+        ASSERT_EQ(limb[j], want.rns(i)[j])
+            << "len " << len << " limb " << i << " coeff " << j;
+      }
+    }
+  }
+  std::vector<std::uint64_t> small(n / 2);
+  EXPECT_THROW(RnsPoly::lift_plaintext(&ctx, 0, random_values(n, t, 1), small),
+               poe::Error);
+}
+
 TEST(Poly, AutomorphismNttMatchesCoefficientPath) {
   // In NTT form tau_g is a pure slot permutation (X^i evaluates to psi-power
   // slots; tau_g permutes which power lands where), so forward-NTT followed
@@ -484,46 +511,106 @@ TEST(Galois, EltForStepMatchesIteratedGenerator) {
             galois_elt_for_step(n, 5));
 }
 
-TEST(BgvRotation, HoistedMatchesReferenceWithZeroForwardNtts) {
+TEST(BgvRotation, HoistedRotationsRunOnlyTheModDownNtts) {
   const auto params = BgvParams::toy();
   Bgv bgv(params);
   BatchEncoder encoder(params.n, params.t);
   SlotLayout layout(params.n, params.t);
   const auto keys = bgv.make_rotation_keys({1, 3, 7});
+  const std::size_t alpha = params.special_primes();
 
   const auto logical = random_values(params.n, params.t, 41);
   auto ct = bgv.encrypt(encoder.encode(layout.to_slots(logical)));
+
+  // Serves three rotations from one hoist and checks the NTT counts: each
+  // rotation runs exactly the mod-down's NTTs (2 alpha inverse on the
+  // special limbs, 2 level forward on the chain limbs) and no decomposition
+  // work, which would add `level` inverse NTTs and ceil(level / alpha) *
+  // (level + alpha) - level forward NTTs per rotation. Checked at the top
+  // level (a truncated last group on toy's chain) and one level down.
+  for (int drop = 0; drop < 2; ++drop) {
+    if (drop == 1) bgv.mod_switch_inplace(ct);
+    const std::size_t level = ct.level;
+    const HoistedCt hoisted = bgv.hoist(ct);
+    const auto before = bgv.rns().exec().snapshot();
+    std::vector<Ciphertext> rotated(3);
+    std::size_t slot = 0;
+    for (long step : {1L, 3L, 7L}) {
+      bgv.rotate_hoisted_into(hoisted, step, keys, rotated[slot++]);
+    }
+    const auto delta = bgv.rns().exec().snapshot() - before;
+    EXPECT_EQ(delta.ntt_forward, 3 * 2 * level) << "level " << level;
+    EXPECT_EQ(delta.ntt_inverse, 3 * 2 * alpha) << "level " << level;
+    EXPECT_EQ(delta.hoisted_rotations, 3u);
+    EXPECT_EQ(delta.automorphisms, 3u);
+    EXPECT_EQ(delta.key_switch, 3u);
+
+    std::size_t i = 0;
+    for (long step : {1L, 3L, 7L}) {
+      EXPECT_GT(bgv.noise_budget_bits(rotated[i]), 0.0) << "step " << step;
+      EXPECT_EQ(layout.from_slots(encoder.decode(bgv.decrypt(rotated[i]))),
+                layout.rotate_columns(logical, step))
+          << "step " << step << " level " << level;
+      ++i;
+    }
+  }
+}
+
+TEST(BgvRotation, BatchedHoistedRotationsMatchOneAtATime) {
+  // The span overload serves every step in one pair of fork-joins; each
+  // output must be bit-identical to the single-step call, with the same
+  // counters, at the top level (toy's truncated last group) and one level
+  // down, into outputs that held other rotations before.
+  const auto params = BgvParams::toy();
+  Bgv bgv(params);
+  BatchEncoder encoder(params.n, params.t);
+  const auto keys = bgv.make_rotation_keys({1, 3, 7});
+  auto ct = bgv.encrypt(encoder.encode(random_values(params.n, params.t, 43)));
+  const std::vector<long> steps{7, 1, 3};
+  std::vector<Ciphertext> batched(steps.size());
+  for (int drop = 0; drop < 2; ++drop) {
+    if (drop == 1) bgv.mod_switch_inplace(ct);
+    const HoistedCt hoisted = bgv.hoist(ct);
+    std::vector<Ciphertext> single(steps.size());
+    const auto s0 = bgv.rns().exec().snapshot();
+    for (std::size_t j = 0; j < steps.size(); ++j) {
+      bgv.rotate_hoisted_into(hoisted, steps[j], keys, single[j]);
+    }
+    const auto s1 = bgv.rns().exec().snapshot();
+    bgv.rotate_hoisted_into(hoisted, steps, keys, batched);
+    const auto s2 = bgv.rns().exec().snapshot();
+    const auto one_at_a_time = s1 - s0;
+    const auto at_once = s2 - s1;
+    EXPECT_EQ(at_once.ntt_forward, one_at_a_time.ntt_forward);
+    EXPECT_EQ(at_once.ntt_inverse, one_at_a_time.ntt_inverse);
+    EXPECT_EQ(at_once.key_switch, one_at_a_time.key_switch);
+    EXPECT_EQ(at_once.hoisted_rotations, one_at_a_time.hoisted_rotations);
+    EXPECT_EQ(at_once.automorphisms, one_at_a_time.automorphisms);
+    EXPECT_EQ(at_once.key_bytes_read, one_at_a_time.key_bytes_read);
+    for (std::size_t j = 0; j < steps.size(); ++j) {
+      const Ciphertext& a = batched[j];
+      const Ciphertext& b = single[j];
+      ASSERT_EQ(a.level, b.level) << "step " << steps[j];
+      ASSERT_EQ(a.parts.size(), b.parts.size());
+      EXPECT_EQ(a.noise_bits, b.noise_bits);
+      for (std::size_t p = 0; p < a.parts.size(); ++p) {
+        for (std::size_t i = 0; i < a.level; ++i) {
+          ASSERT_TRUE(std::equal(a.parts[p].rns(i).begin(),
+                                 a.parts[p].rns(i).end(),
+                                 b.parts[p].rns(i).begin()))
+              << "step " << steps[j] << " part " << p << " limb " << i
+              << " level " << a.level;
+        }
+      }
+    }
+  }
   const HoistedCt hoisted = bgv.hoist(ct);
-
-  // All rotations are served from the one shared decomposition; none of
-  // them may run a forward NTT — that is the point of hoisting.
-  const auto before = bgv.rns().exec().snapshot();
-  std::vector<Ciphertext> rotated(3);
-  std::size_t slot = 0;
-  for (long step : {1L, 3L, 7L}) {
-    bgv.rotate_hoisted_into(hoisted, step, keys, rotated[slot++]);
-  }
-  const auto delta = bgv.rns().exec().snapshot() - before;
-  EXPECT_EQ(delta.ntt_forward, 0u);
-  EXPECT_EQ(delta.hoisted_rotations, 3u);
-  EXPECT_EQ(delta.automorphisms, 3u);
-
-  std::size_t i = 0;
-  for (long step : {1L, 3L, 7L}) {
-    EXPECT_GT(bgv.noise_budget_bits(rotated[i]), 0.0) << "step " << step;
-    EXPECT_EQ(layout.from_slots(encoder.decode(bgv.decrypt(rotated[i]))),
-              layout.rotate_columns(logical, step))
-        << "step " << step;
-    ++i;
-  }
-
-  // Hoisting works at lower levels too (keys restrict per level).
-  bgv.mod_switch_inplace(ct);
-  const HoistedCt lower = bgv.hoist(ct);
-  Ciphertext rot;
-  bgv.rotate_hoisted_into(lower, 3, keys, rot);
-  EXPECT_EQ(layout.from_slots(encoder.decode(bgv.decrypt(rot))),
-            layout.rotate_columns(logical, 3));
+  std::vector<Ciphertext> two(2);
+  EXPECT_THROW(bgv.rotate_hoisted_into(hoisted, steps, keys, two),
+               poe::Error);
+  const std::vector<long> with_zero{1, 0};
+  EXPECT_THROW(bgv.rotate_hoisted_into(hoisted, with_zero, keys, two),
+               poe::Error);
 }
 
 TEST(BgvRotation, HoistedRejectsZeroStepAndMissingKey) {
@@ -720,6 +807,49 @@ TEST(Bgv, WarmedUpMultiplyRunsFromThePool) {
   EXPECT_GT(delta.ntts(), 0u);
   EXPECT_GT(delta.pool_hits, 0u);
   EXPECT_GT(delta.pool_hit_rate(), 0.9);
+}
+
+TEST(BgvParams, DigitWidthMustBeWholeGroupsOfPrimes) {
+  auto params = BgvParams::toy();  // 3 x 40-bit primes
+  params.relin_digit_bits = 40;
+  EXPECT_EQ(params.special_primes(), 1u);
+  params.relin_digit_bits = 120;
+  EXPECT_EQ(params.special_primes(), 3u);
+  for (const unsigned bad : {0u, 20u, 60u, 160u}) {
+    params.relin_digit_bits = bad;  // not a multiple, or alpha > 3 primes
+    EXPECT_THROW((void)params.special_primes(), poe::Error) << bad;
+    EXPECT_THROW(Bgv{params}, poe::Error) << bad;
+  }
+  EXPECT_NO_THROW((void)BgvParams{}.special_primes());
+  EXPECT_NO_THROW((void)BgvParams::demo().special_primes());
+}
+
+TEST(BgvKeyBasis, SpecialPrimesExtendTheChain) {
+  // The key basis is the ciphertext chain followed by alpha more primes of
+  // the same generator: each special prime is = 1 (mod 2nt), so P = 1
+  // (mod t) and the mod-down leaves the plaintext unchanged, and none
+  // repeats a chain prime.
+  auto params = BgvParams::toy();
+  params.num_primes = 6;
+  for (const std::size_t alpha : {1u, 2u, 4u}) {
+    params.relin_digit_bits = static_cast<unsigned>(alpha) * params.prime_bits;
+    const Bgv bgv(params);
+    const RnsContext& q = bgv.rns();
+    const RnsContext& qp = bgv.key_basis();
+    ASSERT_EQ(qp.num_primes(), q.num_primes() + alpha);
+    for (std::size_t i = 0; i < q.num_primes(); ++i) {
+      EXPECT_EQ(qp.prime(i), q.prime(i)) << "alpha " << alpha;
+    }
+    const std::uint64_t two_nt = 2 * params.n * params.t;
+    for (std::size_t k = q.num_primes(); k < qp.num_primes(); ++k) {
+      const std::uint64_t p = qp.prime(k);
+      EXPECT_EQ(p % two_nt, 1u) << "special prime " << p;
+      EXPECT_EQ(p % params.t, 1u) << "special prime " << p;
+      for (std::size_t i = 0; i < k; ++i) {
+        EXPECT_NE(qp.prime(i), p) << "special prime repeats prime " << i;
+      }
+    }
+  }
 }
 
 TEST(BgvIngest, SwitchedCiphertextDecryptsUnderEvaluatorKey) {

@@ -210,6 +210,32 @@ TEST(KernelPointwise, BitIdentityAtAwkwardLengths) {
   }
 }
 
+TEST(KernelShoup, ReducesUnreducedInputsOnEveryBackend) {
+  // The key switch's fast basis conversions multiply residues of one prime
+  // by constants mod another, often smaller, prime, so mul_shoup must
+  // reduce ANY 64-bit input fully: the quotient estimate is off by at most
+  // one, and one conditional subtraction finishes.
+  Xoshiro256 rng(107);
+  const std::size_t n = 1001;  // ragged tail for every lane width
+  for (const u64 q : test_moduli(4096)) {
+    std::vector<u64> x(n);
+    for (std::size_t i = 0; i < n; ++i) {
+      x[i] = i % 3 == 0 ? ~u64{0} - i : rng.next();
+    }
+    for (const u64 w : {u64{1}, q / 3, q - 1}) {
+      const u64 w_shoup = shoup_precompute(w, q);
+      for (const Backend* bk : available_backends()) {
+        std::vector<u64> got(n);
+        bk->mul_shoup(got.data(), x.data(), n, w, w_shoup, q);
+        for (std::size_t i = 0; i < n; ++i) {
+          ASSERT_EQ(got[i], static_cast<u64>(u128{x[i]} * w % q))
+              << bk->name() << " q=" << q << " w=" << w << " i=" << i;
+        }
+      }
+    }
+  }
+}
+
 TEST(KernelReduce128, SimdMatchesSlowPathSweep) {
   // Mirrors Modulus.Reduce128BarrettMatchesSlowPath (modular_test.cpp) at
   // the backend boundary: FULL-RANGE 128-bit inputs, not just products.

@@ -211,6 +211,7 @@ TEST(SearchFixedPoint, CoefficientTestConfig) {
   EXPECT_EQ(r.params.num_primes, expected.num_primes);
   EXPECT_EQ(r.params.prime_bits, expected.prime_bits);
   EXPECT_EQ(r.params.relin_digit_bits, expected.relin_digit_bits);
+  EXPECT_EQ(r.log_q, key_log_q(r.params));  // log2(PQ), not log2(q)
   EXPECT_LE(r.log_q, r.security_cap);
 }
 
@@ -228,7 +229,24 @@ TEST(SearchFixedPoint, BatchedTestConfig) {
   EXPECT_EQ(r.params.num_primes, expected.num_primes);
   EXPECT_EQ(r.params.prime_bits, expected.prime_bits);
   EXPECT_EQ(r.params.relin_digit_bits, expected.relin_digit_bits);
+  EXPECT_EQ(r.log_q, key_log_q(r.params));  // log2(PQ), not log2(q)
   EXPECT_LE(r.log_q, r.security_cap);
+}
+
+// The keys live mod PQ, so the ceiling bounds the chain plus the special
+// primes: batched_demo's 12 x 60-bit chain fits under the 990-bit demo cap
+// on its own (720 bits), but not with alpha = 5 special primes (1020 bits).
+TEST(SecurityTable, CeilingCountsTheSpecialPrimes) {
+  BgvParams p = hhe::HheConfig::batched_demo().bgv;
+  p.num_primes = 12;
+  p.prime_bits = 60;
+  p.relin_digit_bits = 5 * 60;
+  const double cap = max_log_q(p.n, SecurityLevel::kDemo);
+  EXPECT_LE(static_cast<double>(p.num_primes * p.prime_bits), cap);
+  EXPECT_EQ(key_log_q(p), 17.0 * 60.0);
+  EXPECT_FALSE(within_security_ceiling(p, SecurityLevel::kDemo));
+  p.relin_digit_bits = 4 * 60;  // 16 x 60 = 960 bits fits
+  EXPECT_TRUE(within_security_ceiling(p, SecurityLevel::kDemo));
 }
 
 TEST(SecurityTable, DemoCeilingNeverGrowsPastLegacy) {

@@ -636,8 +636,12 @@ TEST(TranscipherServiceTest, OpenSessionWireRejectsHostileBytes) {
 }
 
 TEST(TranscipherServiceTest, PipelinedMatchesUnpipelined) {
-  auto pipelined = make_service(ServiceConfig{.pipelined = true});
-  auto sequential = make_service(ServiceConfig{.pipelined = false});
+  // One block per batch, so the two-block message forms two batches: a
+  // one-batch call has nothing to overlap and never starts the pipeline.
+  auto pipelined =
+      make_service(ServiceConfig{.max_batch_blocks = 1, .pipelined = true});
+  auto sequential =
+      make_service(ServiceConfig{.max_batch_blocks = 1, .pipelined = false});
   TestClient client(8, 91);
   pipelined.open_session(client.id, client.encrypted_key());
   sequential.open_session(client.id, client.encrypted_key());
@@ -650,6 +654,7 @@ TEST(TranscipherServiceTest, PipelinedMatchesUnpipelined) {
 
   EXPECT_EQ(decode_all(out_p[0]), msg);
   EXPECT_EQ(decode_all(out_s[0]), msg);
+  EXPECT_EQ(rep_p.batches, 2u);
   EXPECT_EQ(rep_p.batches, rep_s.batches);
   EXPECT_EQ(rep_p.blocks, rep_s.blocks);
   EXPECT_GE(rep_p.max_queue_depth, 1u);
