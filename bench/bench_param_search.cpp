@@ -166,7 +166,6 @@ CaseResult run_case(const std::string& name, const hhe::HheConfig& checked_in,
   fhe::SearchConstraints c;
   c.t = checked_in.bgv.t;
   c.seed = checked_in.bgv.seed;
-  c.policy.margin = checked_in.switch_margin;
   t0 = Clock::now();
   r.search = fhe::search_params(profile, c);
   POE_ENSURE(r.search.found, "search found no feasible parameters");

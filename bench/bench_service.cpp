@@ -139,7 +139,7 @@ pid_t spawn_child(const char* role, int fd) {
 /// consistent-hash ring, so the sweep compares balanced deployments.
 std::vector<std::uint64_t> pick_balanced_clients(std::size_t nshards,
                                                  std::size_t total) {
-  net::HashRing ring(nshards, net::RouterConfig{}.ring_vnodes);
+  net::HashRing ring(nshards);
   std::vector<std::size_t> load(nshards, 0);
   const std::size_t quota = total / nshards;
   std::vector<std::uint64_t> ids;
@@ -608,9 +608,7 @@ int main(int argc, char** argv) {
            << ", \"avg_batch_occupancy\": " << fixed(r.avg_batch_occupancy, 3)
            << ", \"cross_tenant_batches\": " << r.cross_tenant_batches
            << ", \"full_flushes\": " << r.full_flushes
-           << ", \"deadline_flushes\": " << r.deadline_flushes
            << ", \"drain_flushes\": " << r.drain_flushes
-           << ", \"max_batch_wait_s\": " << fixed(r.max_batch_wait_s, 4)
            << ", \"prepare_s\": " << fixed(r.prepare_s, 4)
            << ", \"eval_s\": " << fixed(r.eval_s, 4)
            << ", \"prepare_stalls\": " << r.prepare_stalls

@@ -158,25 +158,7 @@ class ExecContext {
 
 // --- Fault-point helpers -----------------------------------------------
 // The instrumentation the serving stack sprinkles through its hot path.
-// Unarmed they cost one predictable-branch pointer load; defining
-// POE_NO_FAULT_INJECTION (CMake -DPOE_FAULT_INJECTION=OFF) compiles them
-// out entirely.
-
-#ifdef POE_NO_FAULT_INJECTION
-
-inline void fault_point(const ExecContext&, std::string_view) {}
-inline double fault_stall_s(const ExecContext&, std::string_view) {
-  return 0;
-}
-inline bool fault_forced(const ExecContext&, std::string_view) {
-  return false;
-}
-inline bool fault_corrupt(const ExecContext&, std::string_view,
-                          std::span<std::uint64_t>) {
-  return false;
-}
-
-#else
+// Unarmed they cost one predictable-branch pointer load.
 
 /// Throws FaultInjectedError when a kThrow/kAllocFail fault is armed here.
 inline void fault_point(const ExecContext& exec, std::string_view site) {
@@ -209,7 +191,5 @@ inline bool fault_corrupt(const ExecContext& exec, std::string_view site,
   }
   return false;
 }
-
-#endif  // POE_NO_FAULT_INJECTION
 
 }  // namespace poe

@@ -6,11 +6,11 @@
 // stage, corrupted ciphertext words, forced saturation/truncation) and the
 // arrival window in which it fires. Instrumented code consults the injector
 // through the free helpers in exec_context.hpp, which reduce to a single
-// relaxed null-pointer load when nothing is armed — and compile away
-// entirely under POE_NO_FAULT_INJECTION. Arrival counters are per site, so
-// a schedule is reproducible from its seed alone as long as each site is
-// visited from one thread (the only multi-thread site, pool.acquire, is
-// exercised by the invariant-based chaos sweep, not by exact-outcome tests).
+// relaxed null-pointer load when nothing is armed. Arrival counters are per
+// site, so a schedule is reproducible from its seed alone as long as each
+// site is visited from one thread (the only multi-thread site, pool.acquire,
+// is exercised by the invariant-based chaos sweep, not by exact-outcome
+// tests).
 //
 // Naming convention for sites: <layer>.<point>[.<aspect>], e.g.
 //   pool.acquire            allocation of a polynomial slab

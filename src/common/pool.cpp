@@ -45,12 +45,10 @@ void PolyBuffer::reset() {
 BufferPool::~BufferPool() { trim(); }
 
 PolyBuffer BufferPool::acquire(std::size_t words, bool zero) {
-#ifndef POE_NO_FAULT_INJECTION
   if (FaultInjector* f = fault_.load(std::memory_order_acquire))
       [[unlikely]] {
     f->visit("pool.acquire");  // simulated allocation failure
   }
-#endif
   std::uint64_t* slab = nullptr;
   std::size_t capacity = words;
   {

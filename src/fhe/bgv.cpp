@@ -50,9 +50,9 @@ double Bgv::predicted_budget_bits(const Ciphertext& ct) const {
   return est_->budget(ct.noise_bits, ct.level);
 }
 
-void Bgv::auto_switch_inplace(Ciphertext& a, double margin) const {
+void Bgv::auto_switch_inplace(Ciphertext& a) const {
   const std::size_t target =
-      est_->auto_drop_target(a.noise_bits, a.level, a.size(), margin);
+      est_->auto_drop_target(a.noise_bits, a.level, a.size());
   if (target < a.level) mod_switch_to(a, target);
 }
 
@@ -620,13 +620,6 @@ GaloisKeys Bgv::make_rotation_keys(const std::vector<long>& steps) const {
   RnsPoly s_coeff = s_ntt_;
   s_coeff.from_ntt();
   for (long step : steps) {
-    if (step == GaloisKeys::kRowSwap) {
-      if (out.keys.count(GaloisKeys::kRowSwap) == 0) {
-        out.keys.emplace(GaloisKeys::kRowSwap,
-                         make_galois_key(2 * n - 1, s_coeff));
-      }
-      continue;
-    }
     const long c = static_cast<long>(n / 2);
     const long s = ((step % c) + c) % c;
     if (out.keys.count(s) != 0 || s == 0) continue;
@@ -649,14 +642,6 @@ void Bgv::rotate_columns_inplace(Ciphertext& a, long step,
              nullptr, it->second, galois_elt_for_step(n, s), a);
 }
 
-void Bgv::swap_rows_inplace(Ciphertext& a, const GaloisKeys& keys) const {
-  POE_ENSURE(a.size() == 2, "row swap requires a 2-part ciphertext");
-  const auto it = keys.keys.find(GaloisKeys::kRowSwap);
-  POE_ENSURE(it != keys.keys.end(), "no row-swap key");
-  key_switch(decompose(std::move(a.parts[0]), std::move(a.parts[1]), a),
-             nullptr, it->second, 2 * ctx_.n() - 1, a);
-}
-
 Ciphertext Bgv::encrypt(const Plaintext& pt) const {
   const std::size_t top = ctx_.num_primes();
   RnsPoly u = RnsPoly::sample_ternary(&ctx_, top, rng_);
@@ -671,16 +656,8 @@ Ciphertext Bgv::encrypt(const Plaintext& pt) const {
   ct.parts[1] = pk_a_;
   ct.parts[1].mul_inplace(u);
 
-  for (int which = 0; which < 2; ++which) {
-    RnsPoly e = RnsPoly::sample_noise(&ctx_, top, rng_);
-    e.to_ntt();
-    for (std::size_t i = 0; i < top; ++i) {
-      const auto& m = ctx_.mod(i);
-      auto span = e.rns(i);
-      for (auto& x : span) x = m.mul(x, params_.t % m.value());
-    }
-    ct.parts[which].add_inplace(e);
-  }
+  ct.parts[0].add_inplace(sample_t_noise(ctx_));
+  ct.parts[1].add_inplace(sample_t_noise(ctx_));
 
   RnsPoly m = RnsPoly::from_plaintext(&ctx_, top, pt.coeffs, true);
   ct.parts[0].add_inplace(m);
@@ -689,7 +666,8 @@ Ciphertext Bgv::encrypt(const Plaintext& pt) const {
   return ct;
 }
 
-RnsPoly Bgv::decrypt_core(const Ciphertext& ct) const {
+template <class Visit>
+void Bgv::for_each_centred_coeff(const Ciphertext& ct, Visit&& visit) const {
   POE_ENSURE(ct.size() >= 2 && ct.size() <= 3, "unsupported ciphertext size");
   // The secret (and its square) live at the top level; the fused accumulate
   // reads only the ciphertext's active components.
@@ -699,16 +677,8 @@ RnsPoly Bgv::decrypt_core(const Ciphertext& ct) const {
     v.add_mul_inplace(ct.parts[2], s_sq_ntt_);
   }
   v.from_ntt();
-  return v;
-}
-
-Plaintext Bgv::decrypt(const Ciphertext& ct) const {
-  RnsPoly v = decrypt_core(ct);
   const LevelData& lvl = ctx_.level(ct.level);
-  const std::size_t n = ctx_.n();
-  Plaintext out;
-  out.coeffs.resize(n);
-  for (std::size_t idx = 0; idx < n; ++idx) {
+  for (std::size_t idx = 0; idx < ctx_.n(); ++idx) {
     // CRT reconstruction: sum [v_i * q_hat_inv_i]_{q_i} * q_hat_i mod q.
     UBig acc;
     for (std::size_t i = 0; i < ct.level; ++i) {
@@ -719,41 +689,34 @@ Plaintext Bgv::decrypt(const Ciphertext& ct) const {
       acc.add(contrib);
     }
     acc.mod_by_subtraction(lvl.q);
-    // Centered reduction, then mod t.
+    // Centred lift: a residue above q/2 stands for residue - q.
     const bool negative = acc > lvl.q_half;
     if (negative) {
       UBig tmp = lvl.q;
       tmp.sub(acc);
       acc = std::move(tmp);
     }
-    const u64 r = acc.mod_u64(params_.t);
-    out.coeffs[idx] = negative ? (r == 0 ? 0 : params_.t - r) : r;
+    visit(idx, acc, negative);
   }
+}
+
+Plaintext Bgv::decrypt(const Ciphertext& ct) const {
+  Plaintext out;
+  out.coeffs.resize(ctx_.n());
+  for_each_centred_coeff(
+      ct, [&](std::size_t idx, const UBig& magnitude, bool negative) {
+        const u64 r = magnitude.mod_u64(params_.t);
+        out.coeffs[idx] = negative ? (r == 0 ? 0 : params_.t - r) : r;
+      });
   return out;
 }
 
 double Bgv::noise_budget_bits(const Ciphertext& ct) const {
-  RnsPoly v = decrypt_core(ct);
-  const LevelData& lvl = ctx_.level(ct.level);
   unsigned max_bits = 0;
-  for (std::size_t idx = 0; idx < ctx_.n(); ++idx) {
-    UBig acc;
-    for (std::size_t i = 0; i < ct.level; ++i) {
-      const auto& m = ctx_.mod(i);
-      const u64 term = m.mul(v.rns(i)[idx], lvl.q_hat_inv[i]);
-      UBig contrib = lvl.q_hat[i];
-      contrib.mul_u64(term);
-      acc.add(contrib);
-    }
-    acc.mod_by_subtraction(lvl.q);
-    if (acc > lvl.q_half) {
-      UBig tmp = lvl.q;
-      tmp.sub(acc);
-      acc = std::move(tmp);
-    }
-    max_bits = std::max(max_bits, acc.bit_length());
-  }
-  return static_cast<double>(lvl.q.bit_length()) - 1.0 -
+  for_each_centred_coeff(ct, [&](std::size_t, const UBig& magnitude, bool) {
+    max_bits = std::max(max_bits, magnitude.bit_length());
+  });
+  return static_cast<double>(ctx_.level(ct.level).q.bit_length()) - 1.0 -
          static_cast<double>(max_bits);
 }
 

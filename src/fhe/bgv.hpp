@@ -5,9 +5,9 @@
 //   sk:  ternary s.            pk: (b = -(a s) + t e, a), a uniform.
 //   enc: c = (b u + t e0 + m, a u + t e1)   with ternary u.
 //   dec: m = [[c0 + c1 s (+ c2 s^2)]_q]_t   (centered reduction mod q).
-//   mul: tensor product; relinearisation, rotations, the row swap and
-//        cross-domain ingest all run one special-modulus ("hybrid") key
-//        switch (Han-Ki, CT-RSA 2020; BGV form with the t-correction of
+//   mul: tensor product; relinearisation, rotations and cross-domain
+//        ingest all run one special-modulus ("hybrid") key switch
+//        (Han-Ki, CT-RSA 2020; BGV form with the t-correction of
 //        Kim-Polyakov-Zucca, Asiacrypt 2021). A digit is a group of alpha
 //        consecutive chain primes, basis-extended to the active primes plus
 //        alpha special primes P; the keys live over Q u P, one row per
@@ -97,13 +97,12 @@ struct KswKey {
   std::vector<Row> rows;
 };
 
-/// Rotation keys: column-rotation step -> key for tau_{3^step}(s); step -1
-/// denotes the row swap (tau_{2n-1}, the conjugation). Each key's NTT-form
-/// components are stored tau^-1-permuted (see make_galois_key) so rotations
-/// run the key inner product contiguously and permute only the outputs.
+/// Rotation keys: column-rotation step -> key for tau_{3^step}(s). Each
+/// key's NTT-form components are stored tau^-1-permuted (see
+/// make_galois_key) so rotations run the key inner product contiguously and
+/// permute only the outputs.
 struct GaloisKeys {
   std::map<long, KswKey> keys;
-  static constexpr long kRowSwap = -1;
 };
 
 /// The reusable half of a rotation — Halevi–Shoup hoisting. The basis
@@ -179,9 +178,6 @@ class Bgv {
   /// key-switches back to s. Requires a relinearised (2-part) ciphertext.
   void rotate_columns_inplace(Ciphertext& a, long step,
                               const GaloisKeys& keys) const;
-  /// Swap the two slot rows (tau_{2n-1}); requires a key made with
-  /// make_rotation_keys including GaloisKeys::kRowSwap.
-  void swap_rows_inplace(Ciphertext& a, const GaloisKeys& keys) const;
 
   /// Decompose a 2-part ciphertext once, so that any number of rotations of
   /// it can be served by rotate_hoisted_into at a fraction of the usual
@@ -242,13 +238,14 @@ class Bgv {
 
   // --- Noise-aware scheduling / circuit profiling.
   /// Automatic mod-switch scheduler: drop primes (one fused mod_switch_to)
-  /// while the tracked bound says each switch sacrifices at most `margin`
-  /// bits to the rounding floor — i.e. noise_bits - prime_bits >= floor -
-  /// margin, where the floor accounts for the part count (a 3-part tensor
-  /// switch pays an extra ||s^2||_1 on its rounding term). Replaces
-  /// hand-placed switches; simulate() in fhe/param_search.hpp replays the
-  /// identical policy (NoiseEstimator::auto_drop_target).
-  void auto_switch_inplace(Ciphertext& a, double margin = 2.0) const;
+  /// while the tracked bound says each switch sacrifices at most
+  /// NoiseEstimator::kSwitchMargin bits to the rounding floor — i.e.
+  /// noise_bits - prime_bits >= floor - kSwitchMargin, where the floor
+  /// accounts for the part count (a 3-part tensor switch pays an extra
+  /// ||s^2||_1 on its rounding term). Replaces hand-placed switches;
+  /// simulate() in fhe/param_search.hpp replays the identical policy
+  /// (NoiseEstimator::auto_drop_target).
+  void auto_switch_inplace(Ciphertext& a) const;
   /// Before a ct-ct multiplication: switch both operands (2-part, same
   /// level; a and b may be the same ciphertext) down to
   /// NoiseEstimator::multiply_drop_target, which simulate() replays at
@@ -290,8 +287,12 @@ class Bgv {
   /// conservative fresh leaf otherwise.
   std::int32_t record_operand(std::int32_t trace_id) const;
 
-  /// c0 + c1 s (+ c2 s^2) in coefficient form.
-  RnsPoly decrypt_core(const Ciphertext& ct) const;
+  /// Each coefficient of c0 + c1 s (+ c2 s^2) mod the ciphertext's q,
+  /// CRT-reconstructed and lifted to (-q/2, q/2]: calls visit(idx, |x|,
+  /// x < 0) for idx = 0..n-1. The one decryption core of decrypt and
+  /// noise_budget_bits.
+  template <class Visit>
+  void for_each_centred_coeff(const Ciphertext& ct, Visit&& visit) const;
   /// t * fresh-noise polynomial in NTT form over every limb of `ctx`.
   RnsPoly sample_t_noise(const RnsContext& ctx) const;
   /// Key-switching key for an arbitrary target polynomial (NTT form, read
@@ -303,8 +304,8 @@ class Bgv {
                          const RnsPoly& s_coeff) const;
 
   // --- The one key-switch pipeline: decompose -> inner product -> finish.
-  // Every switch (relinearisation, both rotation paths, row swap, ingest)
-  // runs through these two functions.
+  // Every switch (relinearisation, both rotation paths, ingest) runs
+  // through these two functions.
   /// Stage 1, the switched component's basis extension: takes c0 as is and
   /// `c` (NTT form, at `from.level`) by value, and returns them as a
   /// HoistedCt carrying `from`'s level, noise bound and tape node. Digit b

@@ -89,19 +89,4 @@ std::vector<std::uint64_t> SlotLayout::rotate_columns(
   return out;
 }
 
-std::vector<std::uint64_t> SlotLayout::swap_rows(
-    const std::vector<std::uint64_t>& logical) const {
-  POE_ENSURE(logical.size() == n_, "logical vector size mismatch");
-  std::vector<std::uint64_t> out(n_);
-  for (std::size_t col = 0; col < cols(); ++col) {
-    out[col] = logical[cols() + col];
-    out[cols() + col] = logical[col];
-  }
-  return out;
-}
-
-std::uint64_t SlotLayout::galois_element(long step) const {
-  return galois_elt_for_step(n_, step);
-}
-
 }  // namespace poe::fhe

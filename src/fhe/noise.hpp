@@ -67,8 +67,8 @@ class NoiseEstimator {
 
   double multiply(double a, double b) const { return a + b + log_n_ + 1.0; }
 
-  /// Key-switching additive term (relinearisation, rotation, row swap or
-  /// ingest) of the special-modulus switch at `level`, with dnum =
+  /// Key-switching additive term (relinearisation, rotation or ingest) of
+  /// the special-modulus switch at `level`, with dnum =
   /// ceil(level / alpha) digit groups. The inner product over Q_l u P
   /// leaves x0 + x1 s = P c s' + t E with E = sum_b digit_b e_b, and the
   /// mod-down adds (t E - delta0 - delta1 s) / P to the invariant, where
@@ -127,22 +127,26 @@ class NoiseEstimator {
   /// 2-part convenience overload (the post-relinearisation common case).
   double mod_switch(double a) const { return mod_switch(a, 2); }
 
+  /// Bits of budget each greedy drop may sacrifice to the rounding floor.
+  static constexpr double kSwitchMargin = 2.0;
+
   /// Greedy scheduler core: the lowest level reachable from (noise_bits,
-  /// level) by switches that each sacrifice at most `margin` bits of budget
-  /// to the rounding floor — i.e. while noise - prime_bits >= floor -
-  /// margin. The tolerance makes the policy CONTRACTING: two runs whose
-  /// bounds differ slightly (different nonce scalars, a native vs an
-  /// ingest-switched tenant key) drop at the same points and both clamp
-  /// to the floor, instead of bifurcating into different schedules when one
-  /// of them misses a strict budget-free threshold by a fraction of a bit.
+  /// level) by switches that each sacrifice at most kSwitchMargin bits of
+  /// budget to the rounding floor — i.e. while noise - prime_bits >=
+  /// floor - kSwitchMargin. The tolerance makes the policy CONTRACTING:
+  /// two runs whose bounds differ slightly (different nonce scalars, a
+  /// native vs an ingest-switched tenant key) drop at the same points and
+  /// both clamp to the floor, instead of bifurcating into different
+  /// schedules when one of them misses a strict budget-free threshold by a
+  /// fraction of a bit.
   /// One policy, three users: Bgv::auto_switch_inplace, the servers'
   /// row-aligned vector variant, and the parameter-search replay
   /// (simulate).
   std::size_t auto_drop_target(double noise_bits, std::size_t level,
-                               std::size_t parts, double margin) const {
+                               std::size_t parts) const {
     const double floor = mod_switch_floor(parts);
     while (level > 1 &&
-           noise_bits - params_.prime_bits >= floor - margin) {
+           noise_bits - params_.prime_bits >= floor - kSwitchMargin) {
       noise_bits = mod_switch(noise_bits, parts);
       --level;
     }

@@ -82,7 +82,7 @@ std::size_t chain_length(unsigned pb, std::size_t n, std::uint64_t t,
 }  // namespace
 
 SimResult simulate(const CircuitProfile& profile, const BgvParams& params,
-                   const ModSwitchPolicy& policy, double band_low) {
+                   double band_low) {
   const NoiseEstimator est(params);
   const WorkModel wm(params);
   const std::size_t top = params.num_primes;
@@ -191,11 +191,10 @@ SimResult simulate(const CircuitProfile& profile, const BgvParams& params,
         break;
     }
 
-    // Greedy scheduler: drop while the switch is budget-free with `margin`
-    // bits to spare — the same auto_drop_target policy as
+    // Greedy scheduler: drop while the switch is budget-free with
+    // kSwitchMargin bits to spare — the same auto_drop_target policy as
     // Bgv::auto_switch_inplace.
-    align_to(s, est.auto_drop_target(s.noise, s.level, s.parts,
-                                     policy.margin));
+    align_to(s, est.auto_drop_target(s.noise, s.level, s.parts));
 
     const double budget = est.budget(s.noise, s.level);
     r.min_budget = std::min(r.min_budget, budget);
@@ -287,7 +286,7 @@ SearchResult search_params(const CircuitProfile& profile,
                          .seed = c.seed};
           // The keys live mod PQ; a longer chain only grows it.
           if (!within_security_ceiling(cand, c.security)) break;
-          const SimResult sim = simulate(profile, cand, c.policy, c.band_low);
+          const SimResult sim = simulate(profile, cand, c.band_low);
           best.candidates_tried += 1;
           if (!sim.feasible) continue;
           const double log_q = key_log_q(cand);

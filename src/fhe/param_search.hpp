@@ -39,8 +39,8 @@
 namespace poe::fhe {
 
 /// Operation kinds mirrored by the noise replay. kKeySwitch is every key
-/// switch — relinearisation, rotation, row swap and cross-domain ingest run
-/// one pipeline with one noise formula. kFusedAffine covers the servers'
+/// switch — relinearisation, rotation and cross-domain ingest run one
+/// pipeline with one noise formula. kFusedAffine covers the servers'
 /// raw-slab diagonal loops (terms plaintext-times-rotation products
 /// accumulated into one ciphertext).
 enum class NoiseOp : std::uint8_t {
@@ -93,15 +93,6 @@ struct CircuitProfile {
   CounterSnapshot ops;
 };
 
-/// The greedy scheduler knob shared by replay and the live evaluator: a
-/// prime is dropped as soon as noise - prime_bits >= floor - margin, i.e.
-/// each switch may sacrifice at most `margin` bits of budget to the
-/// rounding floor (see NoiseEstimator::auto_drop_target for why the
-/// tolerance makes the schedule robust to sub-bit bound differences).
-struct ModSwitchPolicy {
-  double margin = 2.0;
-};
-
 struct SimResult {
   bool feasible = false;        ///< every node decryptable, outputs clear band_low
   double min_budget = 0.0;      ///< worst bound-derived budget at any node
@@ -111,11 +102,12 @@ struct SimResult {
   double work = 0.0;            ///< relative cost (limb-weighted op model)
 };
 
-/// Replay `profile` under `params`: NoiseEstimator bounds per node, greedy
-/// mod-switch policy after every node, operand levels aligned like
+/// Replay `profile` under `params`: NoiseEstimator bounds per node, the
+/// live evaluator's greedy mod-switch policy after every node
+/// (NoiseEstimator::auto_drop_target), operand levels aligned like
 /// match_levels. band_low is the budget the output nodes must clear.
 SimResult simulate(const CircuitProfile& profile, const BgvParams& params,
-                   const ModSwitchPolicy& policy, double band_low);
+                   double band_low);
 
 enum class SecurityLevel {
   /// The repo's documented demo posture (EXPERIMENTS.md): rings sized for
@@ -144,7 +136,6 @@ bool within_security_ceiling(const BgvParams& params, SecurityLevel level);
 
 struct SearchConstraints {
   SecurityLevel security = SecurityLevel::kDemo;
-  ModSwitchPolicy policy;
   /// Safety band for the steady-state output budget: the search requires
   /// predicted output budget >= band_low; band_high is not a search input
   /// (the CI smoke enforces measured budget <= band_high to catch surplus

@@ -152,8 +152,8 @@ std::vector<Ciphertext> HheServer::keystream_circuit(
     double worst = 0.0;
     for (const auto& ct : a) worst = std::max(worst, ct.noise_bits);
     for (const auto& ct : b) worst = std::max(worst, ct.noise_bits);
-    const std::size_t target = est.auto_drop_target(
-        worst, a.front().level, a.front().size(), config_.switch_margin);
+    const std::size_t target =
+        est.auto_drop_target(worst, a.front().level, a.front().size());
     if (target == a.front().level) return;
     for (auto& ct : a) bgv_.mod_switch_to(ct, target);
     for (auto& ct : b) bgv_.mod_switch_to(ct, target);
@@ -190,8 +190,7 @@ std::vector<Ciphertext> HheServer::keystream_circuit(
         }
         acc_bits = est.add(acc_bits, tj);
       }
-      const std::size_t target =
-          est.auto_drop_target(acc_bits, lvl, 2, config_.switch_margin);
+      const std::size_t target = est.auto_drop_target(acc_bits, lvl, 2);
       while (lvl > target) {
         acc_bits = est.mod_switch(acc_bits);
         --lvl;

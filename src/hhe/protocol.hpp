@@ -30,10 +30,6 @@ namespace poe::hhe {
 struct HheConfig {
   pasta::PastaParams pasta;
   fhe::BgvParams bgv;
-  /// Headroom bits for the automatic mod-switch scheduler
-  /// (Bgv::auto_switch_inplace), which places every modulus switch of both
-  /// servers from the tracked noise bound.
-  double switch_margin = 2.0;
   /// Safety-band floor for ciphertexts handed back to clients: the servers
   /// trim surplus levels off their outputs (Bgv::trim_output_inplace) while
   /// the tracked bound keeps at least this much budget. Matches

@@ -320,7 +320,7 @@ Ciphertext SimdBatchEngine::evaluate(const Ciphertext& key_ct,
     }
     bgv_.add_plain_inplace(acc, batch.rc[l]);
     state = std::move(acc);
-    bgv_.auto_switch_inplace(state, config_.switch_margin);
+    bgv_.auto_switch_inplace(state);
   };
 
   // The dense diagonals inflate the noise by ~||pt|| * n per layer, so each
@@ -331,9 +331,9 @@ Ciphertext SimdBatchEngine::evaluate(const Ciphertext& key_ct,
   auto mul_reduced = [&](Ciphertext& a, Ciphertext& b) {
     bgv_.switch_for_multiply(a, b);
     Ciphertext prod = bgv_.multiply(a, b);
-    bgv_.auto_switch_inplace(prod, config_.switch_margin);
+    bgv_.auto_switch_inplace(prod);
     bgv_.relinearize_inplace(prod);
-    bgv_.auto_switch_inplace(prod, config_.switch_margin);
+    bgv_.auto_switch_inplace(prod);
     return prod;
   };
 
@@ -348,7 +348,7 @@ Ciphertext SimdBatchEngine::evaluate(const Ciphertext& key_ct,
     // bits); on an elevated trajectory (e.g. an ingest-switched tenant key)
     // that can cross a drop threshold mid-feistel, and the replayed
     // schedule drops here — the live path must offer the same drop point.
-    bgv_.auto_switch_inplace(sq, config_.switch_margin);
+    bgv_.auto_switch_inplace(sq);
     bgv_.mod_switch_to(state, sq.level);
     bgv_.add_inplace(state, sq);
   };

@@ -15,14 +15,13 @@ std::uint64_t splitmix64(std::uint64_t x) {
 }
 }  // namespace
 
-HashRing::HashRing(std::size_t shards, std::size_t vnodes) {
+HashRing::HashRing(std::size_t shards) {
   POE_ENSURE(shards >= 1, "ring needs at least one shard");
-  POE_ENSURE(vnodes >= 1, "ring needs at least one vnode per shard");
   alive_.assign(shards, true);
   alive_count_ = shards;
-  points_.reserve(shards * vnodes);
+  points_.reserve(shards * kRingVnodes);
   for (std::size_t s = 0; s < shards; ++s) {
-    for (std::size_t v = 0; v < vnodes; ++v) {
+    for (std::size_t v = 0; v < kRingVnodes; ++v) {
       // Distinct stream per (shard, vnode); the odd multipliers keep the
       // two coordinates from aliasing.
       const std::uint64_t at =

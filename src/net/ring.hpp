@@ -1,5 +1,5 @@
-// Consistent-hash client -> shard routing. Each shard contributes `vnodes`
-// points on a 64-bit hash circle; a client is owned by the first live
+// Consistent-hash client -> shard routing. Each shard contributes
+// kRingVnodes points on a 64-bit hash circle; a client is owned by the first live
 // shard point clockwise of its own hash. Deterministic (pure splitmix64,
 // no process-local state), so the router, a bench parent picking balanced
 // client ids, and a test can all predict placement — and when a shard dies
@@ -13,9 +13,12 @@
 
 namespace poe::net {
 
+/// Points per shard on the hash circle.
+inline constexpr std::size_t kRingVnodes = 64;
+
 class HashRing {
  public:
-  explicit HashRing(std::size_t shards, std::size_t vnodes = 64);
+  explicit HashRing(std::size_t shards);
 
   std::size_t shards() const { return alive_.size(); }
   std::size_t alive_count() const { return alive_count_; }

@@ -16,7 +16,7 @@ Router::Router(const fhe::RnsContext& ctx, std::vector<FrameChannel> shards,
       shards_(std::move(shards)),
       km_(std::move(key_manager)),
       config_(config),
-      ring_(shards_.size(), config.ring_vnodes),
+      ring_(shards_.size()),
       installed_(shards_.size()) {}
 
 void Router::apply_session_update(std::span<const std::uint8_t> bytes) {
@@ -293,33 +293,7 @@ std::vector<TranscipherResult> Router::process(
 
   // ---- Terminal accounting: the status buckets partition the requests
   // ---- (the same invariant ServiceReport::faults keeps in-process).
-  for (TranscipherResult& res : results) {
-    switch (res.status) {
-      case RequestStatus::kOk: ++rep.faults.ok; break;
-      case RequestStatus::kUnknownSession:
-      case RequestStatus::kNonceReplay:
-      case RequestStatus::kInvalidRequest:
-        ++rep.faults.rejected;
-        res.blocks.clear();
-        break;
-      case RequestStatus::kOverloaded:
-        ++rep.faults.shed;
-        res.blocks.clear();
-        break;
-      case RequestStatus::kQuarantined:
-        ++rep.faults.quarantined;
-        res.blocks.clear();
-        break;
-      case RequestStatus::kTimedOut:
-        ++rep.faults.timed_out;
-        res.blocks.clear();
-        break;
-      case RequestStatus::kFailed:
-        ++rep.faults.failed;
-        res.blocks.clear();
-        break;
-    }
-  }
+  service::tally_terminal_status(results, rep.faults);
   rep.shards_lost = shards_lost_;
   rep.sessions_rebalanced = sessions_rebalanced_;
   return results;

@@ -40,7 +40,6 @@ struct RouterConfig {
   /// A wave whose virtual peer stall exceeds this degrades to kTimedOut.
   /// 0 = no slow-peer timeout.
   double peer_timeout_s = 0;
-  std::size_t ring_vnodes = 64;
 };
 
 /// Aggregate accounting for one Router::process call plus lifetime

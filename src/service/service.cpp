@@ -143,6 +143,23 @@ const char* to_string(RequestStatus s) {
   return "?";
 }
 
+void tally_terminal_status(std::span<TranscipherResult> results,
+                           FaultStats& faults) {
+  for (TranscipherResult& res : results) {
+    switch (res.status) {
+      case RequestStatus::kOk: ++faults.ok; continue;
+      case RequestStatus::kUnknownSession:
+      case RequestStatus::kNonceReplay:
+      case RequestStatus::kInvalidRequest: ++faults.rejected; break;
+      case RequestStatus::kOverloaded: ++faults.shed; break;
+      case RequestStatus::kQuarantined: ++faults.quarantined; break;
+      case RequestStatus::kTimedOut: ++faults.timed_out; break;
+      case RequestStatus::kFailed: ++faults.failed; break;
+    }
+    res.blocks.clear();
+  }
+}
+
 TranscipherService::TranscipherService(
     const hhe::HheConfig& config, const fhe::Bgv& bgv,
     ServiceConfig service_config,
@@ -300,25 +317,20 @@ std::vector<TranscipherResult> TranscipherService::process(
 
   // ---- Admission: session lookup, nonce replay, request sanity, load
   // ---- shedding, block splitting. Rejections are typed per request —
-  // ---- hostile input degrades that request, never the batch.
+  // ---- hostile input degrades that request, never the batch. Every
+  // ---- admitted block goes, in arrival order, into the last batch, which
+  // ---- closes at batch_capacity() tiles; the partial batch left at the
+  // ---- end is the drain.
   struct BlockRef {
     std::size_t request = 0;
     std::size_t block = 0;
   };
-
-  // The deadline-aware scheduler owns batch formation (tile assignment,
-  // flush causes, backlog bound); payloads wait in a side array indexed by
-  // the scheduler handle. Time is the offset from call start, so the
-  // scheduler's virtual clock lines up with request_latency_s.
-  BatchScheduler scheduler(SchedulerConfig{
-      .batch_capacity = max_batch_,
-      .deadline_s = service_config_.batch_deadline_s,
-      .max_pending_blocks = service_config_.max_pending_blocks});
-  struct PendingBlock {
-    hhe::SimdBlockRequest block;
-    BlockRef ref;
+  struct BatchJob {
+    std::vector<hhe::SimdBlockRequest> blocks;  ///< tile i = blocks[i]
+    std::vector<BlockRef> refs;
+    std::vector<u64> tenants;  ///< tile -> owning client
   };
-  std::vector<PendingBlock> pend;
+  std::vector<BatchJob> jobs;
 
   for (std::size_t r = 0; r < requests.size(); ++r) {
     const auto& req = requests[r];
@@ -349,9 +361,10 @@ std::vector<TranscipherResult> TranscipherService::process(
       continue;
     }
     const std::size_t nblocks = (req.symmetric_ct.size() + t - 1) / t;
-    if (!scheduler.can_accept(nblocks)) {
-      // Shed BEFORE the nonce is recorded, so the client can resubmit the
-      // same request once load drops.
+    if (service_config_.max_pending_blocks != 0 &&
+        rep.blocks + nblocks > service_config_.max_pending_blocks) {
+      // Shed whole and BEFORE the nonce is recorded, so the client can
+      // resubmit the same request once load drops.
       res.status = RequestStatus::kOverloaded;
       res.error = "admission load shed";
       continue;
@@ -366,46 +379,38 @@ std::vector<TranscipherResult> TranscipherService::process(
 
     res.blocks.resize(nblocks);
     for (std::size_t b = 0; b < nblocks; ++b) {
+      if (jobs.empty() || jobs.back().blocks.size() == max_batch_) {
+        jobs.emplace_back();
+      }
+      BatchJob& job = jobs.back();
       const std::size_t begin = b * t;
       const std::size_t len = std::min(t, req.symmetric_ct.size() - begin);
-      hhe::SimdBlockRequest block;
+      hhe::SimdBlockRequest& block = job.blocks.emplace_back();
       block.nonce = req.nonce;
       block.counter = b;  // block i of a message uses counter i
       block.symmetric_ct.assign(
           req.symmetric_ct.begin() + static_cast<long>(begin),
           req.symmetric_ct.begin() + static_cast<long>(begin + len));
-      const double now = seconds_since(t_start);
-      const bool accepted = scheduler.submit(
-          ScheduledBlock{.tenant = req.client_id,
-                         .handle = pend.size(),
-                         .arrival_s = now},
-          now);
-      POE_ENSURE(accepted, "scheduler refused a pre-admitted block");
-      pend.push_back(
-          PendingBlock{std::move(block), BlockRef{.request = r, .block = b}});
+      job.refs.push_back(BlockRef{.request = r, .block = b});
+      job.tenants.push_back(req.client_id);
       ++rep.blocks;
     }
   }
-  // End of the admission stream: flush whatever is still forming and
-  // materialise the formed batches (tile i = blocks[i], arrival order).
-  struct BatchJob {
-    std::vector<hhe::SimdBlockRequest> blocks;
-    std::vector<BlockRef> refs;
-    std::vector<u64> tenants;  ///< tile -> owning client
-  };
-  std::vector<BatchJob> jobs;
-  scheduler.drain(seconds_since(t_start));
-  while (auto formed = scheduler.next()) {
-    BatchJob job;
-    job.blocks.reserve(formed->blocks.size());
-    for (const ScheduledBlock& sb : formed->blocks) {
-      job.blocks.push_back(std::move(pend[sb.handle].block));
-      job.refs.push_back(pend[sb.handle].ref);
-      job.tenants.push_back(sb.tenant);
-    }
-    jobs.push_back(std::move(job));
-  }
   rep.batches = jobs.size();
+  // Mean fill fraction over every batch, the drain batch included.
+  rep.avg_batch_occupancy =
+      jobs.empty() ? 0 : double(rep.blocks) / double(jobs.size() * max_batch_);
+  for (const BatchJob& job : jobs) {
+    if (job.blocks.size() == max_batch_) {
+      ++rep.full_flushes;
+    } else {
+      ++rep.drain_flushes;
+    }
+    if (std::any_of(job.tenants.begin(), job.tenants.end(),
+                    [&](u64 id) { return id != job.tenants.front(); })) {
+      ++rep.cross_tenant_batches;
+    }
+  }
 
   // ---- Two-stage pipeline: prepare (CPU) -> evaluate (BGV), each stage
   // ---- under a virtual-time timeout with bounded backoff retry. Producer
@@ -669,62 +674,21 @@ std::vector<TranscipherResult> TranscipherService::process(
   }
 
   // ---- Terminal accounting: the status buckets partition the requests.
-  for (TranscipherResult& res : results) {
-    switch (res.status) {
-      case RequestStatus::kOk:
-        ++rep.faults.ok;
-        // Per-session serving stats (part of the SessionState snapshot).
-        // process() never opens or evicts a session, so an admitted
-        // request's session is still here.
-        {
-          Session& session = sessions_.at(res.client_id);
-          ++session.requests_served;
-          session.blocks_served += res.blocks.size();
-        }
-        break;
-      case RequestStatus::kUnknownSession:
-      case RequestStatus::kNonceReplay:
-      case RequestStatus::kInvalidRequest:
-        ++rep.faults.rejected;
-        res.blocks.clear();
-        break;
-      case RequestStatus::kOverloaded:
-        ++rep.faults.shed;
-        res.blocks.clear();
-        break;
-      case RequestStatus::kQuarantined:
-        ++rep.faults.quarantined;
-        res.blocks.clear();
-        break;
-      case RequestStatus::kTimedOut:
-        ++rep.faults.timed_out;
-        res.blocks.clear();
-        break;
-      case RequestStatus::kFailed:
-        ++rep.faults.failed;
-        res.blocks.clear();
-        break;
-    }
+  tally_terminal_status(results, rep.faults);
+  for (const TranscipherResult& res : results) {
+    if (!res.ok()) continue;
+    // Per-session serving stats (part of the SessionState snapshot).
+    // process() never opens or evicts a session, so an admitted request's
+    // session is still here.
+    Session& session = sessions_.at(res.client_id);
+    ++session.requests_served;
+    session.blocks_served += res.blocks.size();
   }
 
   rep.total_s = seconds_since(t_start);
   rep.min_noise_budget_bits = evaluated_batches > 0 ? min_noise : 0;
   rep.predicted_min_budget_bits = evaluated_batches > 0 ? min_predicted : 0;
-  rep.avg_batch_occupancy = 0;
-  if (!jobs.empty()) {
-    for (const auto& job : jobs) {
-      rep.avg_batch_occupancy +=
-          double(job.blocks.size()) / double(max_batch_);
-    }
-    rep.avg_batch_occupancy /= double(jobs.size());
-  }
   rep.blocks_per_s = rep.total_s > 0 ? double(rep.blocks) / rep.total_s : 0;
-  const SchedulerStats& sched = scheduler.stats();
-  rep.full_flushes = sched.full_flushes;
-  rep.deadline_flushes = sched.deadline_flushes;
-  rep.drain_flushes = sched.drain_flushes;
-  rep.cross_tenant_batches = sched.cross_tenant_batches;
-  rep.max_batch_wait_s = sched.max_wait_s;
   rep.session_evictions = evictions_;
   rep.faults.injected =
       injector != nullptr ? injector->fired_total() - fired_before : 0;

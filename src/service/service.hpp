@@ -9,13 +9,16 @@
 //    form, validating it before it can touch a batch.
 //  * Cross-tenant packing. A request carries a whole message; the service
 //    splits it into PASTA blocks (block i uses counter i, matching
-//    pasta::PastaCipher::encrypt) and a deadline-aware BatchScheduler forms
-//    every batch, packing blocks of DIFFERENT clients into one SIMD batch of
-//    up to batch_capacity() tiles. Each tenant's tiled key is restricted to
-//    its assigned tiles by a 0/1 mask and the masked keys are summed into
-//    one packed key ciphertext (SimdBatchEngine::merge_tenant_keys); on
-//    output each tenant receives a masked extraction carrying only its own
-//    slots. A lone tenant's batch is the same path with one key. Keys
+//    pasta::PastaCipher::encrypt) and appends each admitted block, in
+//    arrival order, to the last batch of the call, which closes at
+//    batch_capacity() tiles — so blocks of DIFFERENT clients share one SIMD
+//    batch, and the partial batch left at the end is the drain. Waiting for
+//    a fuller batch is the caller's choice: it holds requests over time.
+//    Each tenant's tiled key is restricted to its assigned tiles by a 0/1
+//    mask and the masked keys are summed into one packed key ciphertext
+//    (SimdBatchEngine::merge_tenant_keys); on output each tenant receives
+//    a masked extraction carrying only its own slots. A lone tenant's
+//    batch is the same path with one key. Keys
 //    uploaded under a tenant's own BGV secret are key-switched into the
 //    service's evaluation domain on ingest (open_session_switched).
 //  * Pipelining. Batch preparation (SHAKE squeeze, rejection sampling,
@@ -54,7 +57,6 @@
 #include "common/exec_context.hpp"
 #include "fhe/bgv.hpp"
 #include "hhe/simd_batch.hpp"
-#include "service/scheduler.hpp"
 
 namespace poe::service {
 
@@ -65,16 +67,11 @@ struct ServiceConfig {
                                     ///< (always so for a one-batch call)
   std::size_t max_tracked_nonces = 1024;  ///< replay window per session
 
-  /// Deadline-aware flush: a forming batch whose OLDEST block has waited
-  /// longer than this is flushed partially full, bounding packing latency.
-  /// 0 = flush only when full or at end-of-call drain. (Exercised under
-  /// virtual time in tests/scheduler_test.cpp.)
-  double batch_deadline_s = 0;
-
   // --- Robustness knobs (defaults keep the fault-free fast path intact).
   std::size_t max_request_elems = 1u << 16;  ///< admission bound per request
-  /// Admission-level load shedding: blocks admitted per process() call
-  /// beyond this are rejected kOverloaded. 0 = unbounded.
+  /// Admission-level load shedding: a request whose blocks would take the
+  /// call's admitted total past this is rejected kOverloaded whole, before
+  /// its nonce is recorded. 0 = unbounded.
   std::size_t max_pending_blocks = 0;
   /// Attempts per pipeline stage per batch (1 = no retry).
   std::size_t max_stage_attempts = 3;
@@ -169,6 +166,12 @@ struct FaultStats {
   std::size_t injected = 0;     ///< FaultInjector fires during the call
 };
 
+/// Terminal accounting, shared by TranscipherService::process and
+/// net::Router::process: counts every result in the FaultStats bucket of
+/// its status and clears the blocks of every request that did not end kOk.
+void tally_terminal_status(std::span<TranscipherResult> results,
+                           FaultStats& faults);
+
 /// Aggregate diagnostics for one process() call.
 struct ServiceReport {
   std::size_t requests = 0;
@@ -182,13 +185,11 @@ struct ServiceReport {
   std::size_t max_queue_depth = 0;
   double avg_batch_occupancy = 0;  ///< mean fill fraction of the batches
   double blocks_per_s = 0;
-  // --- Batch-scheduler accounting: why each batch left the forming stage,
-  // --- and the packing reach.
-  std::size_t full_flushes = 0;      ///< batches flushed at capacity
-  std::size_t deadline_flushes = 0;  ///< partial batches flushed on deadline
-  std::size_t drain_flushes = 0;     ///< partial batches flushed at drain
+  // --- Batch formation: full batches, the partial batch the call ends
+  // --- with, and the packing reach.
+  std::size_t full_flushes = 0;   ///< batches of batch_capacity() tiles
+  std::size_t drain_flushes = 0;  ///< the partial last batch (0 or 1)
   std::size_t cross_tenant_batches = 0;  ///< batches packing >1 tenant
-  double max_batch_wait_s = 0;  ///< worst block arrival -> flush wait
   double min_noise_budget_bits = 0;  ///< worst batch output
   /// Budget implied by the server-side tracked bound for the same worst
   /// deliverable — computable without the secret key. Soundness invariant
@@ -282,7 +283,7 @@ class TranscipherService {
     std::unordered_set<std::uint64_t> nonce_set;
     std::deque<std::uint64_t> nonce_order;  ///< bounded replay window
     std::list<std::uint64_t>::iterator lru_pos;
-    std::uint64_t requests_served = 0;  ///< kOk requests (scheduler stats)
+    std::uint64_t requests_served = 0;  ///< kOk requests
     std::uint64_t blocks_served = 0;
   };
 

@@ -488,11 +488,7 @@ TEST(FaultInjector, ExecContextHelpersRespectRegistration) {
   FaultInjector fi;
   fi.arm(FaultSpec{.site = "z", .kind = FaultClass::kForce});
   exec.set_fault_injector(&fi);
-#ifdef POE_NO_FAULT_INJECTION
-  EXPECT_FALSE(fault_forced(exec, "z"));  // compiled out entirely
-#else
   EXPECT_TRUE(fault_forced(exec, "z"));
-#endif
   exec.set_fault_injector(nullptr);
   EXPECT_FALSE(fault_forced(exec, "z"));
 }
@@ -502,9 +498,7 @@ TEST(FaultInjector, ArmedPoolAcquireSimulatesAllocationFailure) {
   FaultInjector fi;
   fi.arm(FaultSpec{.site = "pool.acquire", .kind = FaultClass::kAllocFail});
   exec.set_fault_injector(&fi);
-#ifndef POE_NO_FAULT_INJECTION
   EXPECT_THROW(exec.pool().acquire(64), FaultInjectedError);
-#endif
   // The failure is transient: the next acquire succeeds and the slab is
   // usable.
   auto slab = exec.pool().acquire(64);

@@ -412,8 +412,8 @@ TEST(HoistedRotationDifferential, AgreesWithUnhoistedAcrossStepsAndLevels) {
 // The special-modulus switch at every level of batched_test's chain, under
 // the checked-in alpha and under alpha = 3 and 4, so that some levels end
 // in a truncated digit group of every size below alpha. At each level the
-// relinearisation, both rotation paths, the row swap and the ingest switch
-// decrypt to the plaintext oracle (SlotLayout for the slot moves), the
+// relinearisation, both rotation paths and the ingest switch decrypt to
+// the plaintext oracle (SlotLayout for the rotations), the
 // tracked bound claims no more budget than the secret key measures, and the
 // hoisted rotation gives the unhoisted one's bits. A product needs about
 // two primes of budget on this chain, so relinearisation runs from level 2.
@@ -434,8 +434,7 @@ TEST(KeySwitchDifferential, EveryLevelAndTruncatedGroupMatchOracles) {
     const fhe::Bgv bgv(params), tenant(tenant_params);
     const fhe::KswKey ingest_key = bgv.make_ingest_key(tenant);
     const std::vector<long> steps{1, 5};
-    const fhe::GaloisKeys keys =
-        bgv.make_rotation_keys({1, 5, fhe::GaloisKeys::kRowSwap});
+    const fhe::GaloisKeys keys = bgv.make_rotation_keys(steps);
 
     Xoshiro256 rng(515151 + alpha);
     const auto logical = random_msg(rng, config.bgv.t, config.bgv.n);
@@ -467,11 +466,6 @@ TEST(KeySwitchDifferential, EveryLevelAndTruncatedGroupMatchOracles) {
             << "step " << step;
         EXPECT_TRUE(sound(bgv, via_hoist)) << "step " << step;
       }
-
-      fhe::Ciphertext swapped = ct;
-      bgv.swap_rows_inplace(swapped, keys);
-      EXPECT_EQ(decoded(swapped), layout.swap_rows(logical));
-      EXPECT_TRUE(sound(bgv, swapped));
 
       const fhe::Ciphertext ingested = bgv.ingest_switch(upload, ingest_key);
       EXPECT_EQ(ingested.level, level);

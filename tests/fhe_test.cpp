@@ -373,26 +373,6 @@ TEST(BgvRotation, ComposesAndSupportsLowerLevels) {
   EXPECT_EQ(got, layout.rotate_columns(logical, 5));
 }
 
-TEST(BgvRotation, RowSwapMatchesReference) {
-  const auto params = BgvParams::toy();
-  Bgv bgv(params);
-  BatchEncoder encoder(params.n, params.t);
-  SlotLayout layout(params.n, params.t);
-  const auto keys = bgv.make_rotation_keys({GaloisKeys::kRowSwap, 2});
-
-  const auto logical = random_values(params.n, params.t, 24);
-  auto ct = bgv.encrypt(encoder.encode(layout.to_slots(logical)));
-  bgv.swap_rows_inplace(ct, keys);
-  auto got = layout.from_slots(encoder.decode(bgv.decrypt(ct)));
-  EXPECT_EQ(got, layout.swap_rows(logical));
-
-  // Swap twice == identity; composes with column rotation.
-  bgv.swap_rows_inplace(ct, keys);
-  bgv.rotate_columns_inplace(ct, 2, keys);
-  got = layout.from_slots(encoder.decode(bgv.decrypt(ct)));
-  EXPECT_EQ(got, layout.rotate_columns(logical, 2));
-}
-
 TEST(BgvRotation, MissingKeyThrowsAndZeroIsNoop) {
   const auto params = BgvParams::toy();
   Bgv bgv(params);

@@ -556,8 +556,8 @@ TEST(KernelDebugChecks, LazyBoundViolationsAreCaught) {
 /// backend must produce bit-identical ciphertexts through encrypt and
 /// every entry point of the one key-switch pipeline (the lazy inner
 /// product and the fused permute(-add) finish): tensor/relinearise, the
-/// hoisted and the in-place column rotation, the row swap and the
-/// cross-domain ingest switch.
+/// hoisted and the in-place column rotation and the cross-domain ingest
+/// switch.
 TEST(KernelEndToEnd, BgvCiphertextsBitIdenticalAcrossBackends) {
   const auto simd = simd_backends();
   if (simd.empty()) GTEST_SKIP() << "no SIMD backend on this host";
@@ -578,7 +578,7 @@ TEST(KernelEndToEnd, BgvCiphertextsBitIdenticalAcrossBackends) {
   const fhe::Bgv tenant(tenant_params, &scalar_exec);
   const auto upload = tenant.encrypt(pt);
 
-  const std::vector<long> steps{1, fhe::GaloisKeys::kRowSwap};
+  const std::vector<long> steps{1};
   const auto ref_ct = ref.encrypt(pt);
   const auto ref_prod = ref.multiply_relin(ref_ct, ref_ct);
   const auto ref_keys = ref.make_rotation_keys(steps);
@@ -586,8 +586,6 @@ TEST(KernelEndToEnd, BgvCiphertextsBitIdenticalAcrossBackends) {
   ref.rotate_hoisted_into(ref.hoist(ref_ct), 1, ref_keys, ref_rot);
   auto ref_cols = ref_ct;
   ref.rotate_columns_inplace(ref_cols, 1, ref_keys);
-  auto ref_swap = ref_ct;
-  ref.swap_rows_inplace(ref_swap, ref_keys);
   const auto ref_ingest =
       ref.ingest_switch(upload, ref.make_ingest_key(tenant));
 
@@ -620,9 +618,6 @@ TEST(KernelEndToEnd, BgvCiphertextsBitIdenticalAcrossBackends) {
     auto cols = ct;
     bgv.rotate_columns_inplace(cols, 1, keys);
     expect_bits(cols, ref_cols, "rotate_columns_inplace", b->name());
-    auto swap = ct;
-    bgv.swap_rows_inplace(swap, keys);
-    expect_bits(swap, ref_swap, "swap_rows_inplace", b->name());
     expect_bits(bgv.ingest_switch(upload, bgv.make_ingest_key(tenant)),
                 ref_ingest, "ingest_switch", b->name());
     const auto dec = bgv.decrypt(ct);

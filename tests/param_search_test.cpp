@@ -162,8 +162,8 @@ TEST(NoiseEstimator, AutoDropTargetIsContracting) {
   const NoiseEstimator est(params);
   const double hi = 120.0;
   for (double delta = 0.25; delta <= 8.0; delta *= 2.0) {
-    EXPECT_EQ(est.auto_drop_target(hi, 12, 2, 2.0),
-              est.auto_drop_target(hi + delta, 12, 2, 2.0))
+    EXPECT_EQ(est.auto_drop_target(hi, 12, 2),
+              est.auto_drop_target(hi + delta, 12, 2))
         << "delta=" << delta;
   }
 }
@@ -178,8 +178,7 @@ TEST(Simulate, CheckedInParamsAreFeasible) {
   ASSERT_FALSE(profile.outputs.empty());
 
   const SearchConstraints c;
-  const SimResult ok =
-      simulate(profile, checked_in.bgv, c.policy, c.band_low);
+  const SimResult ok = simulate(profile, checked_in.bgv, c.band_low);
   EXPECT_TRUE(ok.feasible);
   EXPECT_GE(ok.min_output_budget, c.band_low);
   EXPECT_LE(ok.min_output_budget, c.band_high);
@@ -187,7 +186,7 @@ TEST(Simulate, CheckedInParamsAreFeasible) {
 
   BgvParams starved = checked_in.bgv;
   starved.num_primes = 2;
-  const SimResult bad = simulate(profile, starved, c.policy, c.band_low);
+  const SimResult bad = simulate(profile, starved, c.band_low);
   EXPECT_FALSE(bad.feasible);
 }
 
@@ -203,7 +202,6 @@ TEST(SearchFixedPoint, CoefficientTestConfig) {
   SearchConstraints c;
   c.t = checked_in.bgv.t;
   c.seed = checked_in.bgv.seed;
-  c.policy.margin = checked_in.switch_margin;
   const SearchResult r = search_params(profile, c);
   ASSERT_TRUE(r.found);
   const BgvParams expected = checked_in.bgv;
@@ -221,7 +219,6 @@ TEST(SearchFixedPoint, BatchedTestConfig) {
   SearchConstraints c;
   c.t = checked_in.bgv.t;
   c.seed = checked_in.bgv.seed;
-  c.policy.margin = checked_in.switch_margin;
   const SearchResult r = search_params(profile, c);
   ASSERT_TRUE(r.found);
   const BgvParams expected = checked_in.bgv;

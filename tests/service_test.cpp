@@ -277,10 +277,15 @@ TEST(TranscipherServiceTest, PackedFlushCausesReported) {
   EXPECT_EQ(report.batches, 2u);
   EXPECT_EQ(report.full_flushes, 1u);
   EXPECT_EQ(report.drain_flushes, 1u);
-  EXPECT_EQ(report.deadline_flushes, 0u);  // no deadline configured
   EXPECT_EQ(report.cross_tenant_batches, 1u);  // the full alice+bob batch
   EXPECT_DOUBLE_EQ(report.avg_batch_occupancy, 0.75);  // (2/2 + 1/2) / 2
-  EXPECT_GE(report.max_batch_wait_s, 0.0);
+  // Tiles follow arrival order: alice then bob fill batch 0, and alice's
+  // second request opens batch 1 at tile 0. The drain batch holds alice
+  // alone, so it is not counted as cross-tenant.
+  EXPECT_EQ(results[0].blocks[0].tile, 0u);
+  EXPECT_EQ(results[1].blocks[0].tile, 1u);
+  EXPECT_EQ(results[2].blocks[0].tile, 0u);
+  EXPECT_NE(results[2].blocks[0].ct, results[0].blocks[0].ct);
   EXPECT_EQ(decode_all(results[0]), msg_1);
   EXPECT_EQ(decode_all(results[1]), msg_2);
   EXPECT_EQ(decode_all(results[2]), msg_3);
@@ -372,8 +377,138 @@ TEST(TranscipherServiceTest, MaxBatchBlocksSplitsBatches) {
 
   EXPECT_EQ(report.blocks, 4u);
   EXPECT_EQ(report.batches, 2u);
+  EXPECT_EQ(report.full_flushes, 2u);
+  EXPECT_EQ(report.drain_flushes, 0u);
+  EXPECT_EQ(report.cross_tenant_batches, 0u);
   EXPECT_DOUBLE_EQ(report.avg_batch_occupancy, 1.0);
+  // Message blocks fill the batches in order: tiles 0, 1, then 0, 1.
+  const auto& blocks = results[0].blocks;
+  for (std::size_t b = 0; b < 4; ++b) EXPECT_EQ(blocks[b].tile, b % 2);
+  EXPECT_NE(blocks[2].ct, blocks[0].ct);
   EXPECT_EQ(decode_all(results[0]), msg);
+}
+
+// Batch formation. process() appends each admitted block, in arrival order,
+// to the call's last batch, which closes at batch_capacity() tiles; the
+// partial batch the call ends with is the drain.
+
+TEST(BatchScheduler, FullBatchFlushesImmediately) {
+  // Three one-block requests fill a three-tile batch exactly: it closes
+  // full, with tiles in arrival order, and no drain batch follows.
+  auto service = make_service(ServiceConfig{.max_batch_blocks = 3});
+  TestClient alice(40, 141), bob(41, 142);
+  service.open_session(alice.id, alice.encrypted_key());
+  service.open_session(bob.id, bob.encrypted_key());
+  const auto msg_1 = random_msg(3, 143);
+  const auto msg_2 = random_msg(4, 144);
+  const auto msg_3 = random_msg(5, 145);
+
+  ServiceReport report;
+  const auto results = service.process(
+      std::vector{alice.request(1, msg_1), bob.request(1, msg_2),
+                  alice.request(2, msg_3)},
+      &report);
+
+  EXPECT_EQ(report.batches, 1u);
+  EXPECT_EQ(report.full_flushes, 1u);
+  EXPECT_EQ(report.drain_flushes, 0u);
+  EXPECT_EQ(report.cross_tenant_batches, 1u);  // tenants {alice, bob}
+  EXPECT_DOUBLE_EQ(report.avg_batch_occupancy, 1.0);
+  for (std::size_t r = 0; r < results.size(); ++r) {
+    ASSERT_TRUE(results[r].ok()) << results[r].error;
+    ASSERT_EQ(results[r].blocks.size(), 1u);
+    EXPECT_EQ(results[r].blocks[0].tile, r);  // tile i = i-th block
+  }
+  // Alice's two blocks come out of one batch, so one extraction holds both.
+  EXPECT_EQ(results[2].blocks[0].ct, results[0].blocks[0].ct);
+  EXPECT_EQ(decode_all(results[0]), msg_1);
+  EXPECT_EQ(decode_all(results[1]), msg_2);
+  EXPECT_EQ(decode_all(results[2]), msg_3);
+}
+
+TEST(BatchScheduler, DrainFlushesRemainder) {
+  // Six blocks of one tenant at four tiles per batch: a full batch, then
+  // the two left over as the drain batch.
+  auto service = make_service(ServiceConfig{.max_batch_blocks = 4});
+  TestClient client(42, 146);
+  service.open_session(client.id, client.encrypted_key());
+  std::vector<std::vector<u64>> msgs;
+  std::vector<TranscipherRequest> reqs;
+  for (u64 i = 0; i < 6; ++i) {
+    msgs.push_back(random_msg(2 + i, 147 + i));
+    reqs.push_back(client.request(i + 1, msgs.back()));
+  }
+
+  ServiceReport report;
+  const auto results = service.process(reqs, &report);
+
+  EXPECT_EQ(report.blocks, 6u);
+  EXPECT_EQ(report.batches, 2u);
+  EXPECT_EQ(report.full_flushes, 1u);
+  EXPECT_EQ(report.drain_flushes, 1u);
+  EXPECT_EQ(report.cross_tenant_batches, 0u);  // single tenant
+  EXPECT_DOUBLE_EQ(report.avg_batch_occupancy, 0.75);  // (4/4 + 2/4) / 2
+  for (std::size_t r = 0; r < results.size(); ++r) {
+    ASSERT_TRUE(results[r].ok()) << results[r].error;
+    EXPECT_EQ(results[r].blocks[0].tile, r % 4);
+    EXPECT_EQ(results[r].blocks[0].ct, results[r < 4 ? 0 : 4].blocks[0].ct);
+    EXPECT_EQ(decode_all(results[r]), msgs[r]);
+  }
+  EXPECT_NE(results[4].blocks[0].ct, results[0].blocks[0].ct);
+
+  // A call that admits nothing drains nothing: no empty batch is formed.
+  ServiceReport empty;
+  const auto replays = service.process(std::vector{reqs[0], reqs[5]}, &empty);
+  EXPECT_EQ(replays[0].status, RequestStatus::kNonceReplay);
+  EXPECT_EQ(replays[1].status, RequestStatus::kNonceReplay);
+  EXPECT_EQ(empty.blocks, 0u);
+  EXPECT_EQ(empty.batches, 0u);
+  EXPECT_EQ(empty.full_flushes + empty.drain_flushes, 0u);
+  EXPECT_DOUBLE_EQ(empty.avg_batch_occupancy, 0.0);
+}
+
+TEST(BatchScheduler, StatsPartitionInvariant) {
+  // Admitted blocks == blocks returned == blocks in the formed batches,
+  // admitted + shed == everything offered, and full and drain flushes
+  // partition the batches.
+  const std::size_t t = stack().config.pasta.t;
+  const std::size_t capacity = 2;
+  auto service = make_service(
+      ServiceConfig{.max_batch_blocks = capacity, .max_pending_blocks = 5});
+  TestClient alice(43, 153), bob(44, 154), carol(45, 155);
+  service.open_session(alice.id, alice.encrypted_key());
+  service.open_session(bob.id, bob.encrypted_key());
+  service.open_session(carol.id, carol.encrypted_key());
+  const std::vector<TranscipherRequest> reqs{
+      alice.request(1, random_msg(t, 156)),      // batch 0, tile 0
+      bob.request(1, random_msg(t, 157)),        // batch 0, tile 1: full
+      alice.request(2, random_msg(t, 158)),      // batch 1, tile 0
+      carol.request(1, random_msg(2 * t, 159)),  // batch 1 tile 1: full,
+                                                 // batch 2 tile 0: drain
+      bob.request(2, random_msg(t, 160)),        // 5 + 1 > 5: shed
+  };
+
+  ServiceReport report;
+  const auto results = service.process(reqs, &report);
+
+  std::size_t ok = 0, returned_blocks = 0;
+  for (const auto& res : results) {
+    if (res.ok()) ++ok;
+    returned_blocks += res.blocks.size();
+  }
+  EXPECT_EQ(results[4].status, RequestStatus::kOverloaded);
+  EXPECT_EQ(ok + report.faults.shed, reqs.size());
+  EXPECT_EQ(report.faults.ok, ok);
+  EXPECT_EQ(report.faults.shed, 1u);
+  EXPECT_EQ(returned_blocks, report.blocks);
+  EXPECT_EQ(report.blocks, 5u);
+  EXPECT_EQ(report.full_flushes + report.drain_flushes, report.batches);
+  EXPECT_EQ(report.batches, (report.blocks + capacity - 1) / capacity);
+  EXPECT_EQ(report.full_flushes, 2u);
+  EXPECT_EQ(report.drain_flushes, 1u);
+  EXPECT_EQ(report.cross_tenant_batches, 2u);  // {alice, bob}, {alice, carol}
+  EXPECT_DOUBLE_EQ(report.avg_batch_occupancy,
+                   double(report.blocks) / double(report.batches * capacity));
 }
 
 TEST(TranscipherServiceTest, LruEvictionRespectsRecency) {
@@ -529,6 +664,42 @@ TEST(TranscipherServiceTest, AdmissionLoadShedIsTypedAndRetriable) {
   EXPECT_EQ(decode_all(retry[0]), msg);
 }
 
+TEST(TranscipherServiceTest, MultiBlockRequestShedWholeAndRetriable) {
+  // A request is admitted whole or not at all: with room for one more
+  // block, a two-block request is shed, none of its blocks takes a tile,
+  // and the one-block request after it still fits.
+  const std::size_t t = stack().config.pasta.t;
+  auto service = make_service(
+      ServiceConfig{.pipelined = false, .max_pending_blocks = 4});
+  TestClient alice(18, 96), bob(19, 97);
+  service.open_session(alice.id, alice.encrypted_key());
+  service.open_session(bob.id, bob.encrypted_key());
+  const auto msg_a = random_msg(3 * t, 98);  // 3 blocks
+  const auto msg_b = random_msg(2 * t, 99);  // 2 blocks: 3 + 2 > 4
+  const auto msg_c = random_msg(t, 100);     // 1 block: 3 + 1 = 4
+
+  ServiceReport report;
+  const auto results = service.process(
+      std::vector{alice.request(1, msg_a), bob.request(1, msg_b),
+                  alice.request(2, msg_c)},
+      &report);
+  ASSERT_TRUE(results[0].ok()) << results[0].error;
+  EXPECT_EQ(results[1].status, RequestStatus::kOverloaded);
+  EXPECT_TRUE(results[1].blocks.empty());
+  ASSERT_TRUE(results[2].ok()) << results[2].error;
+  EXPECT_EQ(report.faults.shed, 1u);
+  EXPECT_EQ(report.blocks, 4u);
+  EXPECT_EQ(report.cross_tenant_batches, 0u);  // bob took no tile
+  EXPECT_EQ(results[2].blocks[0].tile, 3u);
+  EXPECT_EQ(decode_all(results[0]), msg_a);
+  EXPECT_EQ(decode_all(results[2]), msg_c);
+
+  // Bob's nonce was not recorded: the same request succeeds on retry.
+  const auto retry = service.process(std::vector{bob.request(1, msg_b)});
+  ASSERT_TRUE(retry[0].ok()) << retry[0].error;
+  EXPECT_EQ(decode_all(retry[0]), msg_b);
+}
+
 TEST(TranscipherServiceTest, ReportAccountingConsistent) {
   // One mixed multi-client call: the terminal-status buckets must
   // partition the requests, and every other counter must stay consistent
@@ -587,7 +758,8 @@ TEST(TranscipherServiceTest, ReportAccountingConsistent) {
   EXPECT_EQ(rep.blocks, 3u);
   EXPECT_EQ(rep.batches, 1u);
   EXPECT_EQ(rep.cross_tenant_batches, 1u);
-  EXPECT_EQ(rep.drain_flushes, 1u);  // partial batch flushed at end of call
+  EXPECT_EQ(rep.full_flushes, 0u);
+  EXPECT_EQ(rep.drain_flushes, 1u);  // the partial batch the call ends with
   EXPECT_GT(rep.prepare_s, 0.0);
   EXPECT_GT(rep.eval_s, 0.0);
   EXPECT_GT(rep.min_noise_budget_bits, 0.0);
