@@ -8,7 +8,9 @@
 // batch — the software analogue of the paper's Fig. 3 schedule. Every
 // client sends capacity / 8 blocks, so at 8 clients the packed batch is
 // exactly full (8 clients x 8 blocks = 64 tiles for PASTA-mini at n=1024):
-// occupancy 1.0 where per-client batching idled at 0.125.
+// occupancy 1.0 where per-client batching idled at 0.125. The sweep's last
+// point sends one block from each of 64 clients: one batch of 64 tenants,
+// the shape where per-tenant work (key merge, extraction) weighs most.
 //
 // Two reference points anchor the numbers: the same 8-client workload with
 // batches capped at one client's blocks (one tenant per batch, as the
@@ -343,62 +345,68 @@ int main(int argc, char** argv) {
   std::cout << "BGV keygen + rotation keys: " << fixed(seconds_since(t0), 2)
             << " s\n";
   // The largest client count exactly fills one batch.
-  const std::size_t blocks_per_client =
-      hhe::SimdBatchEngine(config, bgv, simd_keys).capacity() / max_clients;
+  const std::size_t capacity =
+      hhe::SimdBatchEngine(config, bgv, simd_keys).capacity();
+  const std::size_t blocks_per_client = capacity / max_clients;
+  const std::size_t max_shards = 2;
 
-  // One key/cipher per client id (the same across all sweep points so the
-  // sweep measures scheduling, not key material).
+  // One key/cipher/message per client id, the same across all sweep points
+  // so the sweep measures scheduling, not key material. The roster covers
+  // the one-block point's `capacity` tenants and one full batch of clients
+  // per shard of the multi-process sweep.
   Xoshiro256 rng(42);
-  std::vector<std::vector<std::uint64_t>> keys(max_clients);
+  const std::size_t roster = std::max(capacity, max_shards * max_clients);
+  std::vector<std::vector<std::uint64_t>> keys(roster);
   std::vector<pasta::PastaCipher> ciphers;
   std::vector<fhe::Ciphertext> key_cts;
-  for (std::size_t c = 0; c < max_clients; ++c) {
+  for (std::size_t c = 0; c < roster; ++c) {
     keys[c] = pasta::PastaCipher::random_key(config.pasta, rng);
     ciphers.emplace_back(config.pasta, keys[c]);
     key_cts.push_back(
         hhe::encrypt_key_batched(config, bgv, encoder, layout, keys[c]));
   }
   const std::size_t msg_len = blocks_per_client * config.pasta.t;
-  std::vector<std::vector<std::uint64_t>> msgs(max_clients);
+  std::vector<std::vector<std::uint64_t>> msgs(roster);
   for (auto& msg : msgs) {
     msg.resize(msg_len);
     for (auto& m : msg) m = rng.below(config.pasta.p);
   }
 
   // ---- Sweep: N clients through the pipelined service. -------------------
-  std::vector<SweepPoint> sweep;
-  for (const std::size_t n : client_counts) {
+  // One point: n clients, each sending the first blocks_each blocks of its
+  // message in one request. Nothing on failure (already reported).
+  auto measure_point = [&](std::size_t n, std::size_t blocks_each)
+      -> std::optional<SweepPoint> {
+    const std::size_t len = blocks_each * config.pasta.t;
     service::ServiceConfig scfg;
-    scfg.max_sessions = max_clients;
+    scfg.max_sessions = n;
     service::TranscipherService svc(config, bgv, scfg, simd_keys);
-    std::vector<service::TranscipherRequest> reqs;
-    for (std::size_t c = 0; c < n; ++c) {
-      svc.open_session(c + 1, key_cts[c]);
-      reqs.push_back(service::TranscipherRequest{
-          .client_id = c + 1,
-          .nonce = 7000 + c,
-          .symmetric_ct = ciphers[c].encrypt(msgs[c], 7000 + c)});
-    }
+    auto wave = [&](std::uint64_t nonce_base) {
+      std::vector<service::TranscipherRequest> reqs;
+      for (std::size_t c = 0; c < n; ++c) {
+        const std::vector<std::uint64_t> msg(msgs[c].begin(),
+                                             msgs[c].begin() + len);
+        reqs.push_back(service::TranscipherRequest{
+            .client_id = c + 1,
+            .nonce = nonce_base + c,
+            .symmetric_ct = ciphers[c].encrypt(msg, nonce_base + c)});
+      }
+      return reqs;
+    };
+    for (std::size_t c = 0; c < n; ++c) svc.open_session(c + 1, key_cts[c]);
     // Untimed warm-up wave: faults in every slab shape this client count
     // needs (per-tenant key merge included), so the measured wave reports
     // STEADY-STATE counters — scripts/check_budgets.py pins its pool
     // misses at zero.
-    std::vector<service::TranscipherRequest> warm_reqs;
-    for (std::size_t c = 0; c < n; ++c) {
-      warm_reqs.push_back(service::TranscipherRequest{
-          .client_id = c + 1,
-          .nonce = 6000 + c,
-          .symmetric_ct = ciphers[c].encrypt(msgs[c], 6000 + c)});
-    }
-    for (const auto& r : svc.process(warm_reqs)) {
+    for (const auto& r : svc.process(wave(60000))) {
       if (!r.ok()) {
         std::cerr << "warm-up request degraded: " << r.error << "\n";
-        return 1;
+        return std::nullopt;
       }
     }
     SweepPoint point;
     point.clients = n;
-    const auto results = svc.process(reqs, &point.report);
+    const auto results = svc.process(wave(70000), &point.report);
     // Verify every request succeeded and every block round-trips before
     // trusting the numbers (the robustness layer degrades per request
     // instead of throwing, so a silent failure would otherwise skew the
@@ -408,7 +416,7 @@ int main(int argc, char** argv) {
         std::cerr << "request for client " << c + 1 << " degraded: "
                   << to_string(results[c].status) << " ("
                   << results[c].error << ")\n";
-        return 1;
+        return std::nullopt;
       }
       std::vector<std::uint64_t> got;
       for (const auto& block : results[c].blocks) {
@@ -416,9 +424,10 @@ int main(int argc, char** argv) {
             service::TranscipherService::decode_block(config, bgv, block);
         got.insert(got.end(), vals.begin(), vals.end());
       }
-      if (got != msgs[c]) {
+      if (got != std::vector<std::uint64_t>(msgs[c].begin(),
+                                            msgs[c].begin() + len)) {
         std::cerr << "MISMATCH for client " << c + 1 << "\n";
-        return 1;
+        return std::nullopt;
       }
     }
     // No injector is registered: the fault points are on the hot path at
@@ -427,10 +436,24 @@ int main(int argc, char** argv) {
     if (point.report.faults.ok != n || point.report.faults.injected != 0 ||
         point.report.faults.retries != 0) {
       std::cerr << "unexpected fault accounting in a fault-free run\n";
-      return 1;
+      return std::nullopt;
     }
-    sweep.push_back(std::move(point));
+    return point;
+  };
+  // The client counts, then one block from each of `capacity` clients: one
+  // batch of 64 tenants, a sparse-tenant saturation wave, where the
+  // per-tenant key merge, extraction and budget report weigh most.
+  std::vector<SweepPoint> sweep;
+  for (const std::size_t n : client_counts) {
+    auto point = measure_point(n, blocks_per_client);
+    if (!point) return 1;
+    sweep.push_back(std::move(*point));
   }
+  auto one_block_point = measure_point(capacity, 1);
+  if (!one_block_point) return 1;
+  sweep.push_back(std::move(*one_block_point));
+  // The packed references compare against a full batch of max_clients.
+  const SweepPoint& packed = sweep[client_counts.size() - 1];
 
   TextTable t;
   t.header({"Clients", "Blocks", "Batches", "X-tenant", "Total s", "s/block",
@@ -482,7 +505,7 @@ int main(int argc, char** argv) {
         double(unpacked.blocks) /
         double(unpacked.batches * svc.engine().capacity());
     const double packed_vs_unpacked =
-        sweep.back().report.blocks_per_s / unpacked.blocks_per_s;
+        packed.report.blocks_per_s / unpacked.blocks_per_s;
     std::cout << "\nunpacked reference @ " << max_clients
               << " clients: occupancy " << fixed(unpacked_occupancy, 3)
               << ", " << fixed(unpacked.blocks_per_s, 2)
@@ -516,8 +539,7 @@ int main(int argc, char** argv) {
     baseline_s = seconds_since(t0);
   }
 
-  const auto& peak = sweep.back().report;
-  const double service_tput = peak.blocks_per_s;
+  const double service_tput = packed.report.blocks_per_s;
   const double baseline_tput = double(baseline_blocks) / baseline_s;
   const double speedup = service_tput / baseline_tput;
   std::cout << "baseline: " << fixed(baseline_s, 2) << " s for "
@@ -536,26 +558,11 @@ int main(int argc, char** argv) {
     const unsigned host_cores = std::thread::hardware_concurrency();
     std::cout << "\nmulti-process deployment (host cores: " << host_cores
               << ", workers pinned to POE_THREADS=1)...\n";
-    // Weak scaling needs one full batch of clients PER shard; extend the
-    // client material beyond the in-process sweep's roster.
-    const std::size_t max_shards = 2;
-    const std::size_t mp_clients = max_shards * max_clients;
-    std::vector<pasta::PastaCipher> mp_ciphers = ciphers;
-    std::vector<fhe::Ciphertext> mp_key_cts = key_cts;
-    std::vector<std::vector<std::uint64_t>> mp_msgs = msgs;
-    for (std::size_t c = max_clients; c < mp_clients; ++c) {
-      const auto key = pasta::PastaCipher::random_key(config.pasta, rng);
-      mp_ciphers.emplace_back(config.pasta, key);
-      mp_key_cts.push_back(
-          hhe::encrypt_key_batched(config, bgv, encoder, layout, key));
-      std::vector<std::uint64_t> msg(msg_len);
-      for (auto& m : msg) m = rng.below(config.pasta.p);
-      mp_msgs.push_back(std::move(msg));
-    }
+    // Weak scaling needs one full batch of clients PER shard.
     for (const std::size_t nshards : {std::size_t{1}, max_shards}) {
       const auto point = run_multiprocess_point(
           nshards, nshards * max_clients, config, bgv, blocks_per_client,
-          mp_ciphers, mp_key_cts, mp_msgs);
+          ciphers, key_cts, msgs);
       if (!point) {
         mp_ok = false;
         break;
@@ -592,8 +599,7 @@ int main(int argc, char** argv) {
          << ", \"special_primes\": " << config.bgv.special_primes()
          << "},\n"
          << "  \"kernel_backend\": \""
-         << (sweep.empty() ? std::string("unknown")
-                           : sweep.back().report.kernel_backend)
+         << packed.report.kernel_backend
          << "\",\n"
          << "  \"blocks_per_client\": " << blocks_per_client << ",\n"
          << "  \"sweep\": [\n";
@@ -643,7 +649,7 @@ int main(int argc, char** argv) {
          << ", \"blocks_per_s\": " << fixed(unpacked.blocks_per_s, 3)
          << ", \"total_s\": " << fixed(unpacked.total_s, 4) << "},\n"
          << "  \"packed_vs_unpacked_speedup\": "
-         << fixed(sweep.back().report.blocks_per_s / unpacked.blocks_per_s, 3)
+         << fixed(packed.report.blocks_per_s / unpacked.blocks_per_s, 3)
          << ",\n"
          << "  \"baseline\": {\"name\": \"sequential_coeff_hhe_server\", "
          << "\"clients\": " << max_clients

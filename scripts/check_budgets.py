@@ -116,18 +116,20 @@ def gate_alloc(rep, cfg, files):
                       f"pool_misses={misses} (must be 0)",
                       f"service sweep @ {clients} clients: {misses} pool "
                       "misses after warm-up")
-        peak = max(sweep, key=lambda p: p.get("clients", 0))
+        # The ceiling is set at the widest wave; every point, the widest
+        # included, must stay under it.
         limit = budget["bytes_copied_max_at_max_clients"]
-        got = peak.get("bytes_copied")
-        if got is None:
-            rep.fail(f"service sweep @ {peak.get('clients')} clients: "
-                     f"bytes_copied missing from {service_path}")
-            return
-        rep.check(got <= limit,
-                  f"service sweep @ {peak.get('clients')} clients: "
-                  f"bytes_copied={got} (ceiling {limit})",
-                  f"service sweep @ {peak.get('clients')} clients: "
-                  f"bytes_copied={got} exceeds ceiling {limit}")
+        for point in sweep:
+            clients, got = point.get("clients"), point.get("bytes_copied")
+            if got is None:
+                rep.fail(f"service sweep @ {clients} clients: "
+                         f"bytes_copied missing from {service_path}")
+                continue
+            rep.check(got <= limit,
+                      f"service sweep @ {clients} clients: "
+                      f"bytes_copied={got} (ceiling {limit})",
+                      f"service sweep @ {clients} clients: "
+                      f"bytes_copied={got} exceeds ceiling {limit}")
 
 
 def noise_records(doc: dict):

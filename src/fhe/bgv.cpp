@@ -85,6 +85,42 @@ void Bgv::note_mask_mul(Ciphertext& a) const {
                            record_operand(a.trace_id), -1);
 }
 
+void Bgv::note_masked_sum(Ciphertext& acc,
+                          std::span<const Ciphertext* const> srcs) const {
+  POE_ENSURE(!srcs.empty(), "masked sum of no sources");
+  // The same estimator steps and tape nodes, in the same order, as
+  // add_inplace on the partial sums would take.
+  struct Partial {
+    std::size_t rank = 0;
+    double noise_bits = 0;
+    std::int32_t trace_id = -1;
+  };
+  const auto add_into = [&](Partial& into, const Partial& other) {
+    into.noise_bits = est_->add(into.noise_bits, other.noise_bits);
+    into.trace_id = record_node(static_cast<std::uint8_t>(NoiseOp::kAdd),
+                                record_operand(into.trace_id),
+                                record_operand(other.trace_id));
+  };
+  std::vector<Partial> partial;
+  for (const Ciphertext* src : srcs) {
+    Partial masked;
+    masked.noise_bits = est_->mul_plain(src->noise_bits);
+    masked.trace_id = record_node(static_cast<std::uint8_t>(NoiseOp::kMulPlain),
+                                  record_operand(src->trace_id), -1);
+    while (!partial.empty() && partial.back().rank == masked.rank) {
+      add_into(masked, partial.back());
+      partial.pop_back();
+      ++masked.rank;
+    }
+    partial.push_back(masked);
+  }
+  Partial merged = partial.back();
+  partial.pop_back();
+  for (; !partial.empty(); partial.pop_back()) add_into(merged, partial.back());
+  acc.noise_bits = merged.noise_bits;
+  acc.trace_id = merged.trace_id;
+}
+
 u64 galois_elt_for_step(std::size_t n, long step) {
   const long c = static_cast<long>(n / 2);
   u64 e = static_cast<u64>(((step % c) + c) % c);
@@ -765,8 +801,25 @@ void Bgv::sub_plain_inplace(Ciphertext& a, const Plaintext& pt) const {
 }
 
 void Bgv::mul_plain_inplace(Ciphertext& a, const Plaintext& pt) const {
-  RnsPoly m = RnsPoly::from_plaintext(&ctx_, a.level, pt.coeffs, true);
-  for (auto& part : a.parts) part.mul_inplace(m);
+  // Limb by limb through one n-word buffer instead of a pool temporary: the
+  // same lift, transform and products as multiplying by from_plaintext(pt),
+  // but callers forked over threads (the service's per-tenant extractions)
+  // draw nothing from the pool here, so its slab demand does not depend on
+  // how the fork was scheduled.
+  for (const auto& part : a.parts) {
+    POE_ENSURE(part.is_ntt(), "pointwise multiply requires NTT form");
+  }
+  const auto& kern = ctx_.exec().kernels();
+  std::vector<u64> limb(ctx_.n());
+  for (std::size_t i = 0; i < a.level; ++i) {
+    RnsPoly::lift_plaintext(&ctx_, i, pt.coeffs, limb);
+    ctx_.ntt(i).forward(limb, kern);
+    for (auto& part : a.parts) {
+      kern.mul(part.rns(i).data(), limb.data(), limb.size(), ctx_.mod(i));
+    }
+  }
+  auto& counters = ctx_.exec().counters();
+  counters.bump(counters.ntt_forward, a.level);
   a.noise_bits = est_->mul_plain(a.noise_bits);
   a.trace_id = record_node(static_cast<std::uint8_t>(NoiseOp::kMulPlain),
                            record_operand(a.trace_id), -1);

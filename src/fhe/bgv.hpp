@@ -267,10 +267,18 @@ class Bgv {
   /// (bypassing the Ciphertext API). note_fused_affine: `acc` holds `terms`
   /// plaintext-diagonal x rotation products of `src` (all rotations served
   /// from one hoisted decomposition of src). note_mask_mul: `a` was
-  /// multiplied part-wise by an encoded plaintext mask.
+  /// multiplied part-wise by an encoded plaintext mask. note_masked_sum:
+  /// `acc` holds sum_j srcs[j] * mask_j for plaintext masks (all at acc's
+  /// level), and is accounted as mul_plain_inplace of each source summed
+  /// pairwise by a binary counter: two sums of 2^r products merge as soon
+  /// as they meet, and the leftovers fold smallest first. Every source then
+  /// passes through ceil(log2 T) additions, as does the bound (add charges
+  /// a bit per addition); a running sum would charge T - 1.
   void note_fused_affine(Ciphertext& acc, const Ciphertext& src,
                          std::size_t terms) const;
   void note_mask_mul(Ciphertext& a) const;
+  void note_masked_sum(Ciphertext& acc,
+                       std::span<const Ciphertext* const> srcs) const;
 
  private:
   /// Builds both contexts from one chain of L + alpha primes: the

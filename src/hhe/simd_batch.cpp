@@ -1,5 +1,7 @@
 #include "hhe/simd_batch.hpp"
 
+#include <algorithm>
+#include <deque>
 #include <set>
 #include <span>
 #include <utility>
@@ -74,7 +76,7 @@ SimdBatchEngine::SimdBatchEngine(
     std::shared_ptr<const fhe::GaloisKeys> shared_keys)
     : config_(config),
       bgv_(bgv),
-      encoder_(config.bgv.n, config.bgv.t),
+      encoder_(config.bgv.n, config.bgv.t, &bgv.rns().exec()),
       layout_(config.bgv.n, config.bgv.t),
       capacity_(TileGrid(config).capacity()) {
   POE_ENSURE(shared_keys != nullptr, "rotation keys must be non-null");
@@ -391,34 +393,60 @@ fhe::Plaintext SimdBatchEngine::tile_mask(
 Ciphertext SimdBatchEngine::merge_tenant_keys(
     std::span<const TenantTiles> tenants) const {
   POE_ENSURE(!tenants.empty(), "merge requires at least one tenant");
-  // A binary counter of partial sums: two sums of 2^r masked keys merge as
-  // soon as they meet, so at most log2(T) + 1 are alive and the leftovers
-  // (distinct ranks, smallest on top) fold smallest first. Every key then
-  // passes through ceil(log2 T) additions, and so does the tracked bound
-  // (add charges a bit per addition); a running sum would charge T - 1.
-  std::vector<std::pair<std::size_t, Ciphertext>> partial;
-  const auto add_into = [&](Ciphertext& into, Ciphertext& other) {
-    bgv_.match_levels(into, other);
-    bgv_.add_inplace(into, other);
-  };
-  for (const auto& tenant : tenants) {
-    POE_ENSURE(tenant.key_ct != nullptr, "merge: null tenant key");
-    POE_ENSURE(!tenant.tiles.empty(), "merge: tenant owns no tiles");
-    Ciphertext masked = *tenant.key_ct;
-    bgv_.mul_plain_inplace(masked, tile_mask(tenant.tiles));
-    std::size_t rank = 0;
-    while (!partial.empty() && partial.back().first == rank) {
-      add_into(masked, partial.back().second);
-      partial.pop_back();
-      ++rank;
+  const std::size_t count = tenants.size();
+  std::vector<const Ciphertext*> keys(count);
+  std::size_t level = 0;
+  for (std::size_t j = 0; j < count; ++j) {
+    POE_ENSURE(tenants[j].key_ct != nullptr, "merge: null tenant key");
+    POE_ENSURE(!tenants[j].tiles.empty(), "merge: tenant owns no tiles");
+    keys[j] = tenants[j].key_ct;
+    POE_ENSURE(keys[j]->size() == keys[0]->size(), "ciphertext size mismatch");
+    level = j == 0 ? keys[j]->level : std::min(level, keys[j]->level);
+  }
+  // A key above the lowest level is switched down to it first, on a copy.
+  // Keys uploaded through the service all sit at the top level, so serving
+  // copies none.
+  std::deque<Ciphertext> lowered;  // stable addresses
+  for (const Ciphertext*& key : keys) {
+    if (key->level == level) continue;
+    bgv_.mod_switch_to(lowered.emplace_back(*key), level);
+    key = &lowered.back();
+  }
+  // The masks' slot encodes fork over the tenants; then one fork over the
+  // limbs: task i lifts every tenant's mask into limb i of the scratch,
+  // transforms it and add_muls it with that tenant's key parts into the
+  // zero-seeded accumulators. Each limb's sum is exact mod its prime, so
+  // the merged key has the bits of masking every key with
+  // mul_plain_inplace and summing; but no key is copied, no masked key or
+  // partial sum is built, and the calling thread no longer runs the
+  // tenants one after another.
+  std::vector<fhe::Plaintext> masks(count);
+  parallel_for(count,
+               [&](std::size_t j) { masks[j] = tile_mask(tenants[j].tiles); });
+  const fhe::RnsContext& rns = bgv_.rns();
+  const auto& kern = rns.exec().kernels();
+  Ciphertext merged;
+  merged.level = level;
+  for (std::size_t p = 0; p < keys[0]->size(); ++p) {
+    merged.parts.emplace_back(&rns, level, /*ntt_form=*/true);
+  }
+  fhe::RnsPoly mask = fhe::RnsPoly::uninit(&rns, level, /*ntt_form=*/true);
+  parallel_for(level, [&](std::size_t i) {
+    const auto& m = rns.mod(i);
+    const auto limb = mask.rns(i);
+    for (std::size_t j = 0; j < count; ++j) {
+      fhe::RnsPoly::lift_plaintext(&rns, i, masks[j].coeffs, limb);
+      rns.ntt(i).forward(limb, kern);
+      for (std::size_t p = 0; p < merged.size(); ++p) {
+        kern.add_mul(merged.parts[p].rns(i).data(),
+                     keys[j]->parts[p].rns(i).data(), limb.data(),
+                     limb.size(), m);
+      }
     }
-    partial.emplace_back(rank, std::move(masked));
-  }
-  Ciphertext merged = std::move(partial.back().second);
-  partial.pop_back();
-  for (; !partial.empty(); partial.pop_back()) {
-    add_into(merged, partial.back().second);
-  }
+  });
+  auto& counters = rns.exec().counters();
+  counters.bump(counters.ntt_forward, level * count);
+  bgv_.note_masked_sum(merged, keys);
   return merged;
 }
 

@@ -133,9 +133,13 @@ class SimdBatchEngine {
   /// well-defined garbage that extract_tiles discards). Because the whole
   /// keystream circuit is tile-local, tenant A's output slots are
   /// independent of what any other tile's key is — dropping (quarantining)
-  /// a tenant from the merge cannot perturb co-packed tenants. The masked
-  /// keys are summed pairwise, so the tracked bound grows by ceil(log2 T)
-  /// bits for T tenants, as the sum's noise does.
+  /// a tenant from the merge cannot perturb co-packed tenants. The whole
+  /// merge is one fork over the limbs, each task masking and summing every
+  /// tenant's key in its limb; keys above the lowest key level are first
+  /// switched down to it. The tracked bound and the tape read as a
+  /// pairwise sum of mul_plain_inplace products (Bgv::note_masked_sum), so
+  /// the bound grows by ceil(log2 T) bits for T tenants, as the sum's
+  /// noise does.
   fhe::Ciphertext merge_tenant_keys(std::span<const TenantTiles> tenants)
       const;
 
@@ -160,7 +164,7 @@ class SimdBatchEngine {
 
   const HheConfig& config_;
   const fhe::Bgv& bgv_;
-  fhe::BatchEncoder encoder_;
+  fhe::BatchEncoder encoder_;  ///< counts on the evaluator's ExecContext
   fhe::SlotLayout layout_;
   std::shared_ptr<const fhe::GaloisKeys> rotation_keys_;
   std::size_t capacity_ = 0;

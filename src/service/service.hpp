@@ -190,10 +190,14 @@ struct ServiceReport {
   std::size_t full_flushes = 0;   ///< batches of batch_capacity() tiles
   std::size_t drain_flushes = 0;  ///< the partial last batch (0 or 1)
   std::size_t cross_tenant_batches = 0;  ///< batches packing >1 tenant
-  double min_noise_budget_bits = 0;  ///< worst batch output
-  /// Budget implied by the server-side tracked bound for the same worst
-  /// deliverable — computable without the secret key. Soundness invariant
-  /// (CI-enforced): predicted <= measured.
+  /// Secret-key-measured budget, once per batch, of the deliverable with the
+  /// smallest tracked budget; the minimum over the call's batches. One
+  /// decryption per batch, not one per tenant.
+  double min_noise_budget_bits = 0;
+  /// Budget implied by the server-side tracked bound for the same
+  /// deliverable — computable without the secret key, and the smallest of
+  /// every deliverable's. Soundness invariant (CI-enforced): predicted <=
+  /// measured.
   double predicted_min_budget_bits = 0;
   std::size_t session_evictions = 0; ///< lifetime total at call end
   std::vector<double> request_latency_s;  ///< per request, call start -> done

@@ -11,14 +11,18 @@
 // differential_slow_test.cpp.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <memory>
 #include <span>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "common/exec_context.hpp"
 #include "common/rng.hpp"
 #include "fhe/bgv.hpp"
+#include "fhe/param_search.hpp"
 #include "kernels/backend.hpp"
 #include "hhe/batched_server.hpp"
 #include "hhe/protocol.hpp"
@@ -862,6 +866,181 @@ TEST(TenantIsolationDifferential, CrossRowTenantsShareColumnsWithoutLeaking) {
   const fhe::Ciphertext out_without_b = evaluate_merged({0, 2});
   EXPECT_EQ(logical(engine.extract_tiles(out_without_b, tenants[0].tiles)),
             logical(engine.extract_tiles(out, tenants[0].tiles)));
+}
+
+
+// ------------------------------------------------- fused tenant-key merge
+
+namespace {
+// The tenant-key merge as a composition of public Bgv calls: every
+// tenant's key times its 0/1 tile mask (mul_plain_inplace), then a binary
+// counter of pairwise sums — two sums of 2^r masked keys add as soon as
+// they meet, and the leftovers fold smallest first — with match_levels
+// before each addition.
+fhe::Ciphertext reference_merge(const hhe::HheConfig& config,
+                                const fhe::Bgv& bgv,
+                                std::span<const hhe::TenantTiles> tenants) {
+  const fhe::BatchEncoder encoder(config.bgv.n, config.bgv.t);
+  const fhe::SlotLayout layout(config.bgv.n, config.bgv.t);
+  const std::size_t s = config.pasta.state_size();
+  std::vector<std::pair<std::size_t, fhe::Ciphertext>> partial;
+  const auto add_into = [&](fhe::Ciphertext& into, fhe::Ciphertext& other) {
+    bgv.match_levels(into, other);
+    bgv.add_inplace(into, other);
+  };
+  for (const auto& tenant : tenants) {
+    std::vector<u64> mask(config.bgv.n, 0);
+    for (const std::size_t tile : tenant.tiles) {
+      std::fill_n(mask.begin() + static_cast<long>(tile * s), s, 1);
+    }
+    fhe::Ciphertext masked = *tenant.key_ct;
+    bgv.mul_plain_inplace(masked, encoder.encode(layout.to_slots(mask)));
+    std::size_t rank = 0;
+    while (!partial.empty() && partial.back().first == rank) {
+      add_into(masked, partial.back().second);
+      partial.pop_back();
+      ++rank;
+    }
+    partial.emplace_back(rank, std::move(masked));
+  }
+  fhe::Ciphertext merged = std::move(partial.back().second);
+  partial.pop_back();
+  for (; !partial.empty(); partial.pop_back()) {
+    add_into(merged, partial.back().second);
+  }
+  return merged;
+}
+
+::testing::AssertionResult tapes_equal(const std::vector<fhe::TapeNode>& a,
+                                       const std::vector<fhe::TapeNode>& b) {
+  if (a.size() != b.size()) {
+    return ::testing::AssertionFailure()
+           << "tape lengths " << a.size() << " vs " << b.size();
+  }
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    if (a[i].op != b[i].op || a[i].a != b[i].a || a[i].b != b[i].b ||
+        a[i].scalar != b[i].scalar || a[i].terms != b[i].terms) {
+      return ::testing::AssertionFailure() << "tape node " << i << " differs";
+    }
+  }
+  return ::testing::AssertionSuccess();
+}
+}  // namespace
+
+// SimdBatchEngine::merge_tenant_keys runs as one fork over the limbs; each
+// limb's masked sum is exact mod its prime, so on every kernel backend the
+// merged key must carry the reference merge's bits, tracked bound and tape
+// nodes, with the same forward-NTT count and fewer copied bytes. Cases: one
+// tenant, 64 one-tile tenants (the sparse-tenant saturation wave), ragged
+// 1/3/7/20/33-tile tenants and scattered tiles in both slot-grid rows; key 0
+// is switched on ingest from a foreign BGV domain, so it enters at a higher
+// bound. Last, one key a level below the rest, which no serving path
+// produces: the fused merge switches every key to the lowest key level
+// before masking, while the reference masks first and switches the partial
+// sums, so only that case may differ in bits — every tile must still carry
+// its owner's PASTA key, and the tracked bound stay sound.
+TEST(TenantKeyMergeDifferential, FusedMergeMatchesMaskThenPairwiseSum) {
+  const hhe::HheConfig config = hhe::HheConfig::batched_test();
+  const std::size_t s = config.pasta.state_size();
+  const std::size_t capacity = config.bgv.n / s;
+  const std::size_t per_row = capacity / 2;
+  struct Case {
+    std::string name;
+    std::vector<std::vector<std::size_t>> tiles;  ///< per tenant
+  };
+  std::vector<Case> cases;
+  cases.push_back({"one tenant", {{3}}});
+  cases.push_back({"64 one-tile tenants", {}});
+  for (std::size_t m = 0; m < capacity; ++m) cases.back().tiles.push_back({m});
+  cases.push_back({"ragged 1/3/7/20/33", {}});
+  std::size_t next = 0;
+  for (const std::size_t count : {1, 3, 7, 20, 33}) {
+    auto& owned = cases.back().tiles.emplace_back();
+    for (std::size_t k = 0; k < count; ++k) owned.push_back(next++);
+  }
+  ASSERT_EQ(next, capacity);
+  cases.push_back({"scattered over both rows",
+                   {{0, per_row + 5, capacity - 1},
+                    {per_row - 1, per_row},
+                    {7, 9, per_row + 7, per_row + 9},
+                    {12}}});
+
+  for (const kernels::Backend* backend : kernels::available_backends()) {
+    SCOPED_TRACE(backend->name());
+    ExecContext exec(nullptr, backend);
+    const fhe::Bgv bgv(config.bgv, &exec);
+    fhe::BgvParams foreign_params = config.bgv;
+    foreign_params.seed = config.bgv.seed + 17;
+    const fhe::Bgv foreign(foreign_params, &exec);
+    const fhe::BatchEncoder encoder(config.bgv.n, config.bgv.t);
+    const fhe::SlotLayout layout(config.bgv.n, config.bgv.t);
+    // The merge rotates nothing, so the engine needs no rotation keys.
+    const hhe::SimdBatchEngine engine(
+        config, bgv, std::make_shared<const fhe::GaloisKeys>());
+
+    Xoshiro256 rng(909090);
+    std::vector<std::vector<u64>> pasta_keys(capacity);
+    std::vector<fhe::Ciphertext> keys;
+    for (std::size_t j = 0; j < capacity; ++j) {
+      pasta_keys[j] = pasta::PastaCipher::random_key(config.pasta, rng);
+      keys.push_back(j == 0 ? bgv.ingest_switch(
+                                  hhe::encrypt_key_batched(config, foreign,
+                                                           encoder, layout,
+                                                           pasta_keys[j]),
+                                  bgv.make_ingest_key(foreign))
+                            : hhe::encrypt_key_batched(config, bgv, encoder,
+                                                       layout, pasta_keys[j]));
+    }
+    const auto tenants_of = [&](const Case& c) {
+      std::vector<hhe::TenantTiles> tenants;
+      for (std::size_t j = 0; j < c.tiles.size(); ++j) {
+        tenants.push_back({&keys[j], c.tiles[j]});
+      }
+      return tenants;
+    };
+
+    for (const Case& c : cases) {
+      SCOPED_TRACE(c.name);
+      const auto tenants = tenants_of(c);
+      fhe::NoiseTape ref_tape, fused_tape;
+      CounterSnapshot before = exec.snapshot();
+      bgv.begin_recording(&ref_tape);
+      const fhe::Ciphertext ref = reference_merge(config, bgv, tenants);
+      bgv.end_recording();
+      const CounterSnapshot ref_ops = exec.snapshot() - before;
+      before = exec.snapshot();
+      bgv.begin_recording(&fused_tape);
+      const fhe::Ciphertext fused = engine.merge_tenant_keys(tenants);
+      bgv.end_recording();
+      const CounterSnapshot fused_ops = exec.snapshot() - before;
+
+      EXPECT_TRUE(ciphertext_bits_equal(fused, ref));
+      EXPECT_EQ(fused.noise_bits, ref.noise_bits);
+      EXPECT_EQ(fused.trace_id, ref.trace_id);
+      EXPECT_TRUE(tapes_equal(fused_tape.nodes(), ref_tape.nodes()));
+      EXPECT_EQ(fused_ops.ntt_forward, ref_ops.ntt_forward);
+      EXPECT_LT(fused_ops.bytes_copied, ref_ops.bytes_copied);
+    }
+
+    // One key a level below the rest.
+    SCOPED_TRACE("key 2 one level down");
+    auto tenants = tenants_of(cases[2]);
+    fhe::Ciphertext lowered = keys[2];
+    bgv.mod_switch_inplace(lowered);
+    tenants[2].key_ct = &lowered;
+    const fhe::Ciphertext fused = engine.merge_tenant_keys(tenants);
+    ASSERT_EQ(fused.level, bgv.top_level() - 1);
+    EXPECT_LE(bgv.predicted_budget_bits(fused), bgv.noise_budget_bits(fused));
+    const auto grid = layout.from_slots(encoder.decode(bgv.decrypt(fused)));
+    for (std::size_t j = 0; j < tenants.size(); ++j) {
+      for (const std::size_t tile : tenants[j].tiles) {
+        const std::vector<u64> got(
+            grid.begin() + static_cast<long>(tile * s),
+            grid.begin() + static_cast<long>((tile + 1) * s));
+        EXPECT_EQ(got, pasta_keys[j]) << "tenant " << j << " tile " << tile;
+      }
+    }
+  }
 }
 
 }  // namespace

@@ -335,6 +335,68 @@ TEST_F(BatchedHhe, NoiseBudgetStaysWithinRecordedBand) {
   EXPECT_EQ(out.level, 1u);
 }
 
+// The engine's slot encodes — prepare's diagonals, round constants, Feistel
+// mask and message, then one tile mask per merged tenant and one per
+// extraction — count on the evaluator's ExecContext, whose snapshot the
+// service reports, and never on the process-wide one.
+TEST(SimdBatchEngineCounters, EncodesCountOnTheEvaluatorsContext) {
+  const HheConfig config = HheConfig::batched_test();
+  ExecContext exec;
+  const fhe::Bgv bgv(config.bgv, &exec);
+  const fhe::BatchEncoder encoder(config.bgv.n, config.bgv.t, &exec);
+  const fhe::SlotLayout layout(config.bgv.n, config.bgv.t);
+  const SimdBatchEngine engine(config, bgv);
+  Xoshiro256 rng(5150);
+  std::vector<std::vector<std::uint64_t>> keys;
+  std::vector<fhe::Ciphertext> key_cts;
+  for (int c = 0; c < 2; ++c) {
+    keys.push_back(pasta::PastaCipher::random_key(config.pasta, rng));
+    key_cts.push_back(
+        encrypt_key_batched(config, bgv, encoder, layout, keys.back()));
+  }
+  const std::vector<TenantTiles> tenants{{&key_cts[0], {0}},
+                                         {&key_cts[1], {1, 2}}};
+  const std::vector<std::size_t> owner{0, 1, 1};
+  std::vector<SimdBlockRequest> reqs(owner.size());
+  std::vector<std::vector<std::uint64_t>> msgs(owner.size());
+  for (std::size_t m = 0; m < owner.size(); ++m) {
+    msgs[m].resize(config.pasta.t);
+    for (auto& v : msgs[m]) v = rng.below(config.pasta.p);
+    reqs[m] = {.nonce = 31 + m, .counter = 0,
+               .symmetric_ct = pasta::PastaCipher(config.pasta, keys[owner[m]])
+                                   .encrypt(msgs[m], 31 + m)};
+  }
+
+  const std::uint64_t global_before = ExecContext::global().snapshot().encode;
+  const CounterSnapshot before = exec.snapshot();
+  const PreparedSimdBatch batch = engine.prepare(reqs);
+  // Every live diagonal, every round constant, the Feistel mask, the message.
+  std::size_t prepare_encodes = batch.rc.size() + 2;
+  for (const auto& layer : batch.diags) {
+    for (const auto& pair : layer) {
+      for (const auto& diag : pair) {
+        prepare_encodes += diag.coeffs.empty() ? 0 : 1;
+      }
+    }
+  }
+  EXPECT_EQ(exec.snapshot().encode - before.encode, prepare_encodes);
+  const fhe::Ciphertext out =
+      engine.evaluate(engine.merge_tenant_keys(tenants), batch);
+  std::vector<fhe::Ciphertext> mine;
+  for (const auto& tenant : tenants) {
+    mine.push_back(engine.extract_tiles(out, tenant.tiles));
+  }
+  EXPECT_EQ(exec.snapshot().encode - before.encode,
+            prepare_encodes + 2 * tenants.size());
+  EXPECT_EQ(ExecContext::global().snapshot().encode, global_before);
+  for (std::size_t m = 0; m < owner.size(); ++m) {
+    EXPECT_EQ(SimdBatchEngine::decode_block(config, bgv, mine[owner[m]], m,
+                                            config.pasta.t),
+              msgs[m])
+        << "tile " << m;
+  }
+}
+
 TEST(HheConfigs, DemoUsesPasta4) {
   const auto cfg = HheConfig::demo();
   EXPECT_EQ(cfg.pasta.t, 32u);

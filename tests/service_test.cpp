@@ -364,6 +364,88 @@ TEST(TranscipherServiceTest, SixtyFourBlocksFromFourTenantsAreOneBatch) {
   EXPECT_EQ(std::count(tile_used.begin(), tile_used.end(), true), 64);
 }
 
+// The consume step of a sparse-tenant saturation wave: 64 one-tile tenants,
+// tenant 0 switched on ingest from its own BGV domain. The service extracts
+// the deliverables in one parallel_for over the tenants and decrypts one of
+// them for the report. Every deliverable must be byte-equal to the engine's
+// own extract_tiles of the same batch output, the measured budget must be
+// that of the deliverable with the smallest tracked budget, and the call
+// must run exactly one decryption: its inverse NTTs are the engine
+// sequence's plus one per limb of that deliverable. ctest runs this suite
+// again under POE_THREADS=1, where the fork runs inline.
+TEST(ServiceConsume, SixtyFourTenantsMatchEngineAndMeasureOnce) {
+  Stack& s = stack();
+  auto service = make_service(ServiceConfig{.max_sessions = 64});
+  const std::size_t tenants = service.batch_capacity();
+  ASSERT_EQ(tenants, 64u);
+  fhe::BgvParams foreign_params = s.config.bgv;
+  foreign_params.seed = s.config.bgv.seed + 17;
+  const fhe::Bgv foreign(foreign_params);
+  const fhe::KswKey ingest_key = s.bgv.make_ingest_key(foreign);
+
+  std::vector<fhe::Ciphertext> key_cts;
+  std::vector<TranscipherRequest> reqs;
+  std::vector<std::vector<u64>> msgs;
+  for (std::size_t c = 0; c < tenants; ++c) {
+    const TestClient client(200 + c, 300 + c);
+    if (c == 0) {
+      const fhe::Ciphertext upload = hhe::encrypt_key_batched(
+          s.config, foreign, s.encoder, s.layout, client.key);
+      service.open_session_switched(client.id, upload, ingest_key);
+      key_cts.push_back(s.bgv.ingest_switch(upload, ingest_key));
+    } else {
+      key_cts.push_back(client.encrypted_key());
+      service.open_session(client.id, key_cts.back());
+    }
+    msgs.push_back(random_msg(1 + c % s.config.pasta.t, 400 + c));
+    reqs.push_back(client.request(9, msgs.back()));
+  }
+  ServiceReport rep;
+  const auto results = service.process(reqs, &rep);
+  ASSERT_EQ(rep.batches, 1u);
+
+  // The same batch through the engine: tenant c's block sits in tile c.
+  const hhe::SimdBatchEngine& engine = service.engine();
+  std::vector<hhe::SimdBlockRequest> blocks(tenants);
+  std::vector<hhe::TenantTiles> live(tenants);
+  for (std::size_t c = 0; c < tenants; ++c) {
+    blocks[c] = {.nonce = 9, .counter = 0,
+                 .symmetric_ct = reqs[c].symmetric_ct};
+    live[c] = {&key_cts[c], {c}};
+  }
+  const CounterSnapshot before = s.bgv.rns().exec().snapshot();
+  const fhe::Ciphertext out =
+      engine.evaluate(engine.merge_tenant_keys(live), engine.prepare(blocks));
+  std::vector<fhe::Ciphertext> expected;
+  for (std::size_t c = 0; c < tenants; ++c) {
+    expected.push_back(engine.extract_tiles(out, live[c].tiles));
+  }
+  const CounterSnapshot engine_ops = s.bgv.rns().exec().snapshot() - before;
+
+  std::size_t worst = 0;
+  for (std::size_t c = 0; c < tenants; ++c) {
+    ASSERT_TRUE(results[c].ok()) << results[c].error;
+    ASSERT_EQ(results[c].blocks.size(), 1u);
+    EXPECT_EQ(results[c].blocks[0].tile, c);
+    EXPECT_EQ(wire_blocks(results[c])[0],
+              fhe::serialize_ciphertext(s.bgv.rns(), expected[c]))
+        << "tenant " << c;
+    EXPECT_EQ(decode_all(results[c]), msgs[c]) << "tenant " << c;
+    if (s.bgv.predicted_budget_bits(expected[c]) <
+        s.bgv.predicted_budget_bits(expected[worst])) {
+      worst = c;
+    }
+  }
+  EXPECT_EQ(rep.predicted_min_budget_bits,
+            s.bgv.predicted_budget_bits(expected[worst]));
+  EXPECT_EQ(rep.min_noise_budget_bits,
+            s.bgv.noise_budget_bits(expected[worst]));
+  EXPECT_GE(rep.min_noise_budget_bits, rep.predicted_min_budget_bits);
+  EXPECT_EQ(rep.exec_ops.ntt_forward, engine_ops.ntt_forward);
+  EXPECT_EQ(rep.exec_ops.ntt_inverse,
+            engine_ops.ntt_inverse + expected[worst].level);
+}
+
 TEST(TranscipherServiceTest, MaxBatchBlocksSplitsBatches) {
   auto service = make_service(ServiceConfig{.max_batch_blocks = 2});
   EXPECT_EQ(service.batch_capacity(), 2u);
