@@ -70,57 +70,6 @@ void Bgv::trim_output_inplace(Ciphertext& a, double keep_bits) const {
   if (target < a.level) mod_switch_to(a, target);
 }
 
-void Bgv::note_fused_affine(Ciphertext& acc, const Ciphertext& src,
-                            std::size_t terms) const {
-  acc.noise_bits =
-      est_->fused_affine(src.noise_bits, acc.level, terms);
-  acc.trace_id = record_node(static_cast<std::uint8_t>(NoiseOp::kFusedAffine),
-                             record_operand(src.trace_id), -1, 0,
-                             static_cast<std::uint32_t>(terms));
-}
-
-void Bgv::note_mask_mul(Ciphertext& a) const {
-  a.noise_bits = est_->mul_plain(a.noise_bits);
-  a.trace_id = record_node(static_cast<std::uint8_t>(NoiseOp::kMulPlain),
-                           record_operand(a.trace_id), -1);
-}
-
-void Bgv::note_masked_sum(Ciphertext& acc,
-                          std::span<const Ciphertext* const> srcs) const {
-  POE_ENSURE(!srcs.empty(), "masked sum of no sources");
-  // The same estimator steps and tape nodes, in the same order, as
-  // add_inplace on the partial sums would take.
-  struct Partial {
-    std::size_t rank = 0;
-    double noise_bits = 0;
-    std::int32_t trace_id = -1;
-  };
-  const auto add_into = [&](Partial& into, const Partial& other) {
-    into.noise_bits = est_->add(into.noise_bits, other.noise_bits);
-    into.trace_id = record_node(static_cast<std::uint8_t>(NoiseOp::kAdd),
-                                record_operand(into.trace_id),
-                                record_operand(other.trace_id));
-  };
-  std::vector<Partial> partial;
-  for (const Ciphertext* src : srcs) {
-    Partial masked;
-    masked.noise_bits = est_->mul_plain(src->noise_bits);
-    masked.trace_id = record_node(static_cast<std::uint8_t>(NoiseOp::kMulPlain),
-                                  record_operand(src->trace_id), -1);
-    while (!partial.empty() && partial.back().rank == masked.rank) {
-      add_into(masked, partial.back());
-      partial.pop_back();
-      ++masked.rank;
-    }
-    partial.push_back(masked);
-  }
-  Partial merged = partial.back();
-  partial.pop_back();
-  for (; !partial.empty(); partial.pop_back()) add_into(merged, partial.back());
-  acc.noise_bits = merged.noise_bits;
-  acc.trace_id = merged.trace_id;
-}
-
 u64 galois_elt_for_step(std::size_t n, long step) {
   const long c = static_cast<long>(n / 2);
   u64 e = static_cast<u64>(((step % c) + c) % c);
@@ -800,29 +749,176 @@ void Bgv::sub_plain_inplace(Ciphertext& a, const Plaintext& pt) const {
                            record_operand(a.trace_id), -1);
 }
 
-void Bgv::mul_plain_inplace(Ciphertext& a, const Plaintext& pt) const {
-  // Limb by limb through one n-word buffer instead of a pool temporary: the
-  // same lift, transform and products as multiplying by from_plaintext(pt),
-  // but callers forked over threads (the service's per-tenant extractions)
-  // draw nothing from the pool here, so its slab demand does not depend on
-  // how the fork was scheduled.
-  for (const auto& part : a.parts) {
-    POE_ENSURE(part.is_ntt(), "pointwise multiply requires NTT form");
+std::vector<std::size_t> Bgv::plain_products(std::span<const PlainTerm> terms,
+                                             std::span<Ciphertext> outs) const {
+  std::vector<std::size_t> count(outs.size(), 0);
+  if (terms.empty()) return count;
+  const std::size_t level = terms[0].src->level;
+  const std::size_t parts = terms[0].src->size();
+  std::size_t lifted = 0;
+  for (const PlainTerm& term : terms) {
+    POE_ENSURE(term.out < outs.size() && term.src->level == level &&
+                   term.src->size() == parts &&
+                   (term.ntt == nullptr || term.ntt->level() >= level),
+               "plaintext product terms must share a level and a size");
+    for (const auto& part : term.src->parts) {
+      POE_ENSURE(part.context() == &ctx_ && part.is_ntt(),
+                 "pointwise multiply requires NTT form in this context");
+    }
+    lifted += term.ntt == nullptr ? 1 : 0;
+    ++count[term.out];
   }
-  const auto& kern = ctx_.exec().kernels();
-  std::vector<u64> limb(ctx_.n());
-  for (std::size_t i = 0; i < a.level; ++i) {
-    RnsPoly::lift_plaintext(&ctx_, i, pt.coeffs, limb);
-    ctx_.ntt(i).forward(limb, kern);
-    for (auto& part : a.parts) {
-      kern.mul(part.rns(i).data(), limb.data(), limb.size(), ctx_.mod(i));
+  // An in-place output reshapes onto its own slab, keeping its words.
+  for (std::size_t o = 0; o < outs.size(); ++o) {
+    if (count[o] == 0) continue;
+    outs[o].level = level;
+    outs[o].parts.resize(parts);
+    for (auto& part : outs[o].parts) {
+      part.reshape_uninit(&ctx_, level, /*ntt_form=*/true);
     }
   }
+  const std::size_t n = ctx_.n();
+  const auto& kern = ctx_.exec().kernels();
+  // A product with fewer limb transforms than this (an extraction near the
+  // bottom of the chain, an NTT-form weight) is a few microseconds of work,
+  // less than waking the pool costs, so it runs on the calling thread.
+  constexpr std::size_t kMinForkTransforms = 4;
+  const unsigned executors = level * lifted < kMinForkTransforms ? 1 : 0;
+  parallel_for(outs.size() * level, [&](std::size_t task) {
+    const std::size_t o = task / level;
+    const std::size_t i = task % level;
+    std::vector<u64> limb;
+    bool first = true;
+    for (const PlainTerm& term : terms) {
+      if (term.out != o) continue;
+      const u64* w = term.ntt != nullptr ? term.ntt->rns(i).data() : nullptr;
+      if (w == nullptr) {
+        limb.resize(n);
+        RnsPoly::lift_plaintext(&ctx_, i, term.coeffs, limb);
+        ctx_.ntt(i).forward(limb, kern);
+        w = limb.data();
+      }
+      for (std::size_t p = 0; p < parts; ++p) {
+        u64* dst = outs[o].parts[p].rns(i).data();
+        const u64* src = term.src->parts[p].rns(i).data();
+        if (first) {
+          if (dst != src) std::copy_n(src, n, dst);
+          kern.mul(dst, w, n, ctx_.mod(i));
+        } else {
+          kern.add_mul(dst, src, w, n, ctx_.mod(i));
+        }
+      }
+      first = false;
+    }
+  }, executors);
   auto& counters = ctx_.exec().counters();
-  counters.bump(counters.ntt_forward, a.level);
+  counters.bump(counters.ntt_forward, level * lifted);
+  return count;
+}
+
+void Bgv::mul_plain_term(Ciphertext& a, const PlainTerm& term) const {
+  plain_products(std::span<const PlainTerm>(&term, 1),
+                 std::span<Ciphertext>(&a, 1));
   a.noise_bits = est_->mul_plain(a.noise_bits);
   a.trace_id = record_node(static_cast<std::uint8_t>(NoiseOp::kMulPlain),
                            record_operand(a.trace_id), -1);
+}
+
+void Bgv::mul_plain_inplace(Ciphertext& a, const Plaintext& pt) const {
+  mul_plain_term(a, PlainTerm{.src = &a, .coeffs = pt.coeffs});
+}
+
+void Bgv::mul_plain_inplace(Ciphertext& a, const RnsPoly& weight_ntt) const {
+  mul_plain_term(a, PlainTerm{.src = &a, .ntt = &weight_ntt});
+}
+
+RnsPoly Bgv::ntt_weight(const Plaintext& pt) const {
+  return RnsPoly::from_plaintext(&ctx_, ctx_.num_primes(), pt.coeffs,
+                                 /*to_ntt_form=*/true);
+}
+
+Ciphertext Bgv::weighted_sum(std::span<const Ciphertext* const> srcs,
+                             std::span<const Plaintext> weights) const {
+  POE_ENSURE(!srcs.empty() && srcs.size() == weights.size(),
+             "weighted sum needs one weight per source");
+  std::vector<PlainTerm> terms(srcs.size());
+  for (std::size_t j = 0; j < srcs.size(); ++j) {
+    terms[j] = {.src = srcs[j], .coeffs = weights[j].coeffs};
+  }
+  Ciphertext sum;
+  plain_products(terms, std::span<Ciphertext>(&sum, 1));
+  // The same estimator steps and tape nodes, in the same order, as
+  // mul_plain_inplace on each source and add_inplace on the partial sums.
+  struct Partial {
+    std::size_t rank = 0;
+    double noise_bits = 0;
+    std::int32_t trace_id = -1;
+  };
+  const auto add_into = [&](Partial& into, const Partial& other) {
+    into.noise_bits = est_->add(into.noise_bits, other.noise_bits);
+    into.trace_id = record_node(static_cast<std::uint8_t>(NoiseOp::kAdd),
+                                record_operand(into.trace_id),
+                                record_operand(other.trace_id));
+  };
+  std::vector<Partial> partial;
+  for (const Ciphertext* src : srcs) {
+    Partial masked{0, est_->mul_plain(src->noise_bits),
+                   record_node(static_cast<std::uint8_t>(NoiseOp::kMulPlain),
+                               record_operand(src->trace_id), -1)};
+    for (; !partial.empty() && partial.back().rank == masked.rank;
+         partial.pop_back(), ++masked.rank) {
+      add_into(masked, partial.back());
+    }
+    partial.push_back(masked);
+  }
+  Partial merged = partial.back();
+  for (partial.pop_back(); !partial.empty(); partial.pop_back()) {
+    add_into(merged, partial.back());
+  }
+  sum.noise_bits = merged.noise_bits;
+  sum.trace_id = merged.trace_id;
+  return sum;
+}
+
+void Bgv::diagonal_sum(const Ciphertext& ct,
+                       std::span<const std::vector<Plaintext>> weights,
+                       const GaloisKeys& keys,
+                       std::span<Ciphertext> outs) const {
+  POE_ENSURE(weights.size() == outs.size(),
+             "diagonal sum needs one weight list per output");
+  const auto live = [&](std::size_t v, std::size_t k) {
+    return k < weights[v].size() && !weights[v][k].coeffs.empty();
+  };
+  std::size_t width = 0;  // steps 0..width-1
+  for (const auto& w : weights) width = std::max(width, w.size());
+  std::vector<long> steps;
+  for (std::size_t k = 1; k < width; ++k) {
+    bool any = false;
+    for (std::size_t v = 0; v < outs.size(); ++v) any = any || live(v, k);
+    if (any) steps.push_back(static_cast<long>(k));
+  }
+  std::vector<Ciphertext> rots(steps.size());
+  if (!steps.empty()) rotate_hoisted_into(hoist(ct), steps, keys, rots);
+  std::vector<const Ciphertext*> source(width, &ct);
+  for (std::size_t j = 0; j < steps.size(); ++j) source[steps[j]] = &rots[j];
+  std::vector<PlainTerm> terms;
+  for (std::size_t v = 0; v < outs.size(); ++v) {
+    for (std::size_t k = 0; k < width; ++k) {
+      if (live(v, k)) terms.push_back({v, source[k], weights[v][k].coeffs});
+    }
+  }
+  const std::vector<std::size_t> count = plain_products(terms, outs);
+  for (std::size_t v = 0; v < outs.size(); ++v) {
+    if (count[v] == 0) {
+      outs[v] = Ciphertext{};
+      continue;
+    }
+    outs[v].noise_bits = est_->fused_affine(ct.noise_bits, ct.level, count[v]);
+    outs[v].trace_id =
+        record_node(static_cast<std::uint8_t>(NoiseOp::kFusedAffine),
+                    record_operand(ct.trace_id), -1, 0,
+                    static_cast<std::uint32_t>(count[v]));
+  }
 }
 
 void Bgv::mul_scalar_inplace(Ciphertext& a, u64 scalar) const {

@@ -138,6 +138,8 @@ class Bgv {
 
   const BgvParams& params() const { return params_; }
   const RnsContext& rns() const { return ctx_; }
+  /// The context whose kernels, pool and op counters every operation uses.
+  ExecContext& exec() const { return ctx_.exec(); }
   /// The key basis Q u P: the ciphertext chain's primes, then the alpha
   /// special primes the key-switching keys and digits also live on.
   const RnsContext& key_basis() const { return key_ctx_; }
@@ -159,6 +161,28 @@ class Bgv {
   void sub_plain_inplace(Ciphertext& a, const Plaintext& pt) const;
   /// Multiply by the plaintext polynomial (NTT product).
   void mul_plain_inplace(Ciphertext& a, const Plaintext& pt) const;
+  /// The same by a weight already in NTT form (ntt_weight(pt), read on the
+  /// first a.level limbs), for a weight reused across products.
+  void mul_plain_inplace(Ciphertext& a, const RnsPoly& weight_ntt) const;
+  /// `pt` lifted to every chain prime, in NTT form.
+  RnsPoly ntt_weight(const Plaintext& pt) const;
+  /// sum_j weights[j] * srcs[j] over sources of one level and size, none
+  /// copied. Charged as mul_plain_inplace of each source summed pairwise by
+  /// a binary counter (two sums of 2^r products merge as soon as they
+  /// meet; the leftovers fold smallest first), so the bound grows by
+  /// ceil(log2 T) bits for T sources, as the noise does.
+  Ciphertext weighted_sum(std::span<const Ciphertext* const> srcs,
+                          std::span<const Plaintext> weights) const;
+  /// The diagonal method: outs[v] = sum_k weights[v][k] * rot_k(ct), with
+  /// rot_0(ct) = ct and an empty Plaintext a skipped term. Hoists ct (2
+  /// parts) once and serves every live step k >= 1 in one multi-target
+  /// switch (rotate_hoisted_into), then sums into the outputs in one fork
+  /// over (output, limb). Each output is charged one kFusedAffine over ct
+  /// with its live term count (NoiseEstimator::fused_affine); one with no
+  /// live term is left empty. The outputs must not alias ct.
+  void diagonal_sum(const Ciphertext& ct,
+                    std::span<const std::vector<Plaintext>> weights,
+                    const GaloisKeys& keys, std::span<Ciphertext> outs) const;
   /// Multiply by an integer constant mod t (no NTT, cheap).
   void mul_scalar_inplace(Ciphertext& a, std::uint64_t scalar) const;
   /// Add an integer constant mod t.
@@ -263,22 +287,6 @@ class Bgv {
   /// schedules its own.
   void begin_recording(NoiseTape* tape) const;
   void end_recording() const;
-  /// Accounting hooks for server loops that accumulate on raw RnsPoly parts
-  /// (bypassing the Ciphertext API). note_fused_affine: `acc` holds `terms`
-  /// plaintext-diagonal x rotation products of `src` (all rotations served
-  /// from one hoisted decomposition of src). note_mask_mul: `a` was
-  /// multiplied part-wise by an encoded plaintext mask. note_masked_sum:
-  /// `acc` holds sum_j srcs[j] * mask_j for plaintext masks (all at acc's
-  /// level), and is accounted as mul_plain_inplace of each source summed
-  /// pairwise by a binary counter: two sums of 2^r products merge as soon
-  /// as they meet, and the leftovers fold smallest first. Every source then
-  /// passes through ceil(log2 T) additions, as does the bound (add charges
-  /// a bit per addition); a running sum would charge T - 1.
-  void note_fused_affine(Ciphertext& acc, const Ciphertext& src,
-                         std::size_t terms) const;
-  void note_mask_mul(Ciphertext& a) const;
-  void note_masked_sum(Ciphertext& acc,
-                       std::span<const Ciphertext* const> srcs) const;
 
  private:
   /// Builds both contexts from one chain of L + alpha primes: the
@@ -303,6 +311,30 @@ class Bgv {
   void for_each_centred_coeff(const Ciphertext& ct, Visit&& visit) const;
   /// t * fresh-noise polynomial in NTT form over every limb of `ctx`.
   RnsPoly sample_t_noise(const RnsContext& ctx) const;
+
+  /// One term of a ciphertext x plaintext product: `src` times a weight
+  /// (coefficients mod t, or `ntt`, a poly already in NTT form on at least
+  /// the product's level), summed into output `out`.
+  struct PlainTerm {
+    std::size_t out = 0;
+    const Ciphertext* src = nullptr;
+    std::span<const std::uint64_t> coeffs = {};
+    const RnsPoly* ntt = nullptr;
+  };
+  /// The one ciphertext x plaintext kernel every public product runs:
+  /// outs[o] = sum of weight * src over the terms with out == o, at the
+  /// sources' common level; returns each output's term count. One fork over
+  /// (output, limb): a task lifts each coefficient-form weight into its own
+  /// n-word buffer (not a pool slab, so forked callers draw nothing from
+  /// the pool), transforms it and multiplies it into the limb, the first
+  /// term over a copy of its source (the residues of add_mul into a zeroed
+  /// limb), the rest with add_mul. An output may be the source of its only
+  /// term (in place) and no other; one with no term is left as it is. The
+  /// bound and tape node are the caller's.
+  std::vector<std::size_t> plain_products(std::span<const PlainTerm> terms,
+                                          std::span<Ciphertext> outs) const;
+  /// mul_plain_inplace of `a` by the weight of `term` (whose src is &a).
+  void mul_plain_term(Ciphertext& a, const PlainTerm& term) const;
   /// Key-switching key for an arbitrary target polynomial (NTT form, read
   /// on the chain limbs only).
   KswKey make_ksw_key(const RnsPoly& target_ntt) const;

@@ -1,6 +1,7 @@
 #include "fhe/encoding.hpp"
 
 #include "common/error.hpp"
+#include "common/parallel.hpp"
 
 namespace poe::fhe {
 
@@ -21,6 +22,14 @@ Plaintext BatchEncoder::encode(
   auto& c = exec_->counters();
   c.bump(c.encode);
   return pt;
+}
+
+std::vector<Plaintext> BatchEncoder::encode_each(
+    std::span<const std::vector<std::uint64_t>> values) const {
+  std::vector<Plaintext> out(values.size());
+  parallel_for(values.size(),
+               [&](std::size_t j) { out[j] = encode(values[j]); });
+  return out;
 }
 
 std::vector<std::uint64_t> BatchEncoder::decode(const Plaintext& pt) const {

@@ -4,6 +4,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "common/exec_context.hpp"
@@ -18,10 +19,11 @@ class BatchEncoder {
   /// ExecContext::global().
   BatchEncoder(std::size_t n, std::uint64_t t, ExecContext* exec = nullptr);
 
-  std::size_t slot_count() const { return ntt_.n(); }
-
   /// values (mod t, up to n of them; the rest zero-filled) -> plaintext.
   Plaintext encode(const std::vector<std::uint64_t>& values) const;
+  /// encode() of every list, forked over the lists.
+  std::vector<Plaintext> encode_each(
+      std::span<const std::vector<std::uint64_t>> values) const;
   std::vector<std::uint64_t> decode(const Plaintext& pt) const;
 
  private:

@@ -40,9 +40,9 @@ namespace poe::fhe {
 
 /// Operation kinds mirrored by the noise replay. kKeySwitch is every key
 /// switch — relinearisation, rotation and cross-domain ingest run one
-/// pipeline with one noise formula. kFusedAffine covers the servers'
-/// raw-slab diagonal loops (terms plaintext-times-rotation products
-/// accumulated into one ciphertext).
+/// pipeline with one noise formula. kFusedAffine is one output of
+/// Bgv::diagonal_sum (terms plaintext-times-rotation products of one
+/// hoisted ciphertext, accumulated into one ciphertext).
 enum class NoiseOp : std::uint8_t {
   kFresh,
   kAdd,

@@ -62,11 +62,6 @@ RnsPoly& RnsPoly::reshape_uninit(const RnsContext* ctx, std::size_t level,
   return *this;
 }
 
-void RnsPoly::set_zero() {
-  if (ctx_ == nullptr) return;
-  std::fill_n(buf_.data(), level_ * ctx_->n(), std::uint64_t{0});
-}
-
 void RnsPoly::check_compatible(const RnsPoly& o) const {
   POE_ENSURE(ctx_ == o.ctx_, "polynomials from different contexts");
   POE_ENSURE(level_ == o.level_, "level mismatch: " << level_ << " vs "

@@ -109,10 +109,6 @@ class RnsPoly {
   RnsPoly& reshape_uninit(const RnsContext* ctx, std::size_t level,
                           bool ntt_form);
 
-  /// Zero the active level_ * n words in place (no pool traffic) — turns a
-  /// reshaped scratch poly into a fresh accumulator.
-  void set_zero();
-
  private:
   void check_compatible(const RnsPoly& o) const;
   /// Like check_compatible but allows `o` at a higher level (key material

@@ -82,39 +82,35 @@ std::uint64_t ciphertext_wire_bytes(const RnsContext& ctx, std::size_t level,
 
 std::optional<std::string> validate_ciphertext(const RnsContext& ctx,
                                                const Ciphertext& ct) {
-  std::ostringstream os;
-  if (ct.size() < 2 || ct.size() > 3) {
-    os << "bad part count " << ct.size();
-    return os.str();
-  }
+  // The message is built only on a failing branch: a key that passes (every
+  // tenant, every batch) formats nothing.
+  const auto why = [](const auto&... args) {
+    std::ostringstream os;
+    (os << ... << args);
+    return std::optional<std::string>(os.str());
+  };
+  if (ct.size() < 2 || ct.size() > 3) return why("bad part count ", ct.size());
   if (ct.level < 1 || ct.level > ctx.num_primes()) {
-    os << "level " << ct.level << " outside chain of "
-       << ctx.num_primes();
-    return os.str();
+    return why("level ", ct.level, " outside chain of ", ctx.num_primes());
   }
   for (std::size_t p = 0; p < ct.size(); ++p) {
     const RnsPoly& part = ct.parts[p];
     if (part.context() != &ctx) {
-      os << "part " << p << " bound to a different context";
-      return os.str();
+      return why("part ", p, " bound to a different context");
     }
-    if (!part.is_ntt()) {
-      os << "part " << p << " not in NTT form";
-      return os.str();
-    }
+    if (!part.is_ntt()) return why("part ", p, " not in NTT form");
     if (part.level() < ct.level) {
-      os << "part " << p << " at level " << part.level()
-         << " below ciphertext level " << ct.level;
-      return os.str();
+      return why("part ", p, " at level ", part.level(),
+                 " below ciphertext level ", ct.level);
     }
     for (std::size_t i = 0; i < ct.level; ++i) {
       const std::uint64_t q = ctx.prime(i);
-      for (const std::uint64_t c : part.rns(i)) {
-        if (c >= q) {
-          os << "part " << p << " component " << i
-             << " coefficient out of range (" << c << " >= " << q << ")";
-          return os.str();
-        }
+      const auto limb = part.rns(i);
+      const auto bad = std::find_if(limb.begin(), limb.end(),
+                                    [q](std::uint64_t c) { return c >= q; });
+      if (bad != limb.end()) {
+        return why("part ", p, " component ", i,
+                   " coefficient out of range (", *bad, " >= ", q, ")");
       }
     }
   }

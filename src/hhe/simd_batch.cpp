@@ -8,7 +8,6 @@
 #include <vector>
 
 #include "common/error.hpp"
-#include "common/parallel.hpp"
 #include "modular/modulus.hpp"
 
 namespace poe::hhe {
@@ -76,7 +75,7 @@ SimdBatchEngine::SimdBatchEngine(
     std::shared_ptr<const fhe::GaloisKeys> shared_keys)
     : config_(config),
       bgv_(bgv),
-      encoder_(config.bgv.n, config.bgv.t, &bgv.rns().exec()),
+      encoder_(config.bgv.n, config.bgv.t, &bgv.exec()),
       layout_(config.bgv.n, config.bgv.t),
       capacity_(TileGrid(config).capacity()) {
   POE_ENSURE(shared_keys != nullptr, "rotation keys must be non-null");
@@ -155,7 +154,7 @@ PreparedSimdBatch SimdBatchEngine::prepare(
   batch.diags.resize(layers);
   batch.rc.resize(layers);
   for (std::size_t l = 0; l < layers; ++l) {
-    batch.diags[l].resize(s);
+    for (auto& part : batch.diags[l]) part.resize(s);
     for (std::size_t k = 0; k < s; ++k) {
       std::vector<u64> ua(grid.slots(), 0), ub(grid.slots(), 0);
       bool any_a = false, any_b = false;
@@ -173,9 +172,8 @@ PreparedSimdBatch SimdBatchEngine::prepare(
           any_b = any_b || v != 0;
         }
       }
-      auto& pair = batch.diags[l][k];
-      if (any_a) pair[0] = encode_grid(ua);
-      if (any_b) pair[1] = encode_grid(ub);
+      if (any_a) batch.diags[l][0][k] = encode_grid(ua);
+      if (any_b) batch.diags[l][1][k] = encode_grid(ub);
     }
     std::vector<u64> rcv(grid.slots(), 0);
     for (std::size_t m = 0; m < blocks; ++m) {
@@ -198,9 +196,7 @@ PreparedSimdBatch SimdBatchEngine::prepare(
       msg[grid.pos(m, off)] = requests[m].symmetric_ct[off];
     }
   }
-  batch.feistel_mask_ntt = fhe::RnsPoly::from_plaintext(
-      &bgv_.rns(), bgv_.top_level(), encode_grid(mask).coeffs,
-      /*to_ntt_form=*/true);
+  batch.feistel_mask_ntt = bgv_.ntt_weight(encode_grid(mask));
   batch.message_plain = encode_grid(msg);
   return batch;
 }
@@ -216,112 +212,26 @@ Ciphertext SimdBatchEngine::evaluate(const Ciphertext& key_ct,
              "batch was prepared for a different cipher");
 
   Ciphertext state = key_ct;
-  // One output slot per rotation step, reused across layers: the hoisted
-  // rotation reshapes these slabs instead of allocating, so after the first
-  // layer the whole diagonal loop runs pool-silent. Each accumulator has a
-  // diagonal scratch poly whose limb i is the encode buffer of the task
-  // that owns limb i.
-  std::vector<long> steps;
-  std::vector<Ciphertext> rots(s - 1);
-  std::vector<const Ciphertext*> source(s);
-  fhe::RnsPoly diag_scratch[2];
-  const fhe::RnsContext& rns = bgv_.rns();
-  const auto& kern = rns.exec().kernels();
+  const long wrap_step = static_cast<long>((cols - s) % cols);
 
-  // One Mix-composed affine layer: full diagonal method over a hoisted
-  // state. The in-tile parts (accumulator 0) accumulate directly; the wrap
-  // parts (accumulator 1, already pre-rotated by +s in prepare())
-  // accumulate separately and take ONE closing rotation by cols - s. The
-  // layer runs in three fork-joins besides the hoist: every rotation at
-  // once (rotate_hoisted_into over all live steps), then one fork over
-  // (accumulator, limb) that lifts each live diagonal into the limb, runs
-  // its forward NTT and fuses it into the accumulator with add_mul.
-  // Zero-seeded accumulators make term 1 a plain multiply, and each limb
-  // sees the same products in the same order as encoding every diagonal
-  // whole and calling add_mul_inplace after its rotation, so the bits are
-  // the same; but the calling thread no longer does the encodes and
-  // products alone, and a layer meets the pool's barrier a handful of
-  // times instead of twice per rotation.
+  // One Mix-composed affine layer: the full diagonal method over a hoisted
+  // state, as one Bgv op. The in-tile parts (sum[0]) apply to rot_k(state)
+  // directly; the wrap parts (sum[1], already pre-rotated by +s in
+  // prepare()) take ONE closing rotation by cols - s.
   auto affine = [&](std::size_t l) {
-    const std::size_t level = state.level;
-    const auto& diags = batch.diags[l];
-    std::size_t terms[2] = {0, 0};
-    steps.clear();
-    for (std::size_t k = 0; k < s; ++k) {
-      const bool live_a = !diags[k][0].coeffs.empty();
-      const bool live_b = !diags[k][1].coeffs.empty();
-      terms[0] += live_a ? 1 : 0;
-      terms[1] += live_b ? 1 : 0;
-      source[k] = k == 0 ? &state : nullptr;
-      if (k != 0 && (live_a || live_b)) steps.push_back(static_cast<long>(k));
+    Ciphertext sum[2];
+    bgv_.diagonal_sum(state, batch.diags[l], *rotation_keys_, sum);
+    if (sum[1].size() != 0 && wrap_step != 0) {
+      bgv_.rotate_columns_inplace(sum[1], wrap_step, *rotation_keys_);
     }
-    POE_ENSURE(terms[0] + terms[1] > 0, "affine layer produced no terms");
-    if (!steps.empty()) {
-      const std::span<Ciphertext> outs(rots.data(), steps.size());
-      bgv_.rotate_hoisted_into(bgv_.hoist(state), steps, *rotation_keys_,
-                               outs);
-      for (std::size_t j = 0; j < steps.size(); ++j) {
-        source[static_cast<std::size_t>(steps[j])] = &outs[j];
-      }
+    if (sum[0].size() == 0) {
+      std::swap(sum[0], sum[1]);
+    } else if (sum[1].size() != 0) {
+      bgv_.add_inplace(sum[0], sum[1]);
     }
-    Ciphertext inner[2];
-    for (std::size_t v = 0; v < 2; ++v) {
-      if (terms[v] == 0) continue;
-      inner[v].level = level;
-      inner[v].parts.emplace_back(&rns, level, /*ntt_form=*/true);
-      inner[v].parts.emplace_back(&rns, level, /*ntt_form=*/true);
-      diag_scratch[v].reshape_uninit(&rns, level, /*ntt_form=*/true);
-    }
-    parallel_for(2 * level, [&](std::size_t task) {
-      const std::size_t v = task / level;
-      const std::size_t i = task % level;
-      if (terms[v] == 0) return;
-      const auto& m = rns.mod(i);
-      const auto diag = diag_scratch[v].rns(i);
-      for (std::size_t k = 0; k < s; ++k) {
-        const auto& coeffs = diags[k][v].coeffs;
-        if (coeffs.empty()) continue;
-        fhe::RnsPoly::lift_plaintext(&rns, i, coeffs, diag);
-        rns.ntt(i).forward(diag, kern);
-        for (std::size_t p = 0; p < 2; ++p) {
-          kern.add_mul(inner[v].parts[p].rns(i).data(),
-                       source[k]->parts[p].rns(i).data(), diag.data(),
-                       diag.size(), m);
-        }
-      }
-    });
-    auto& counters = rns.exec().counters();
-    counters.bump(counters.ntt_forward, level * (terms[0] + terms[1]));
-    Ciphertext& inner_a = inner[0];
-    Ciphertext& inner_b = inner[1];
-    const bool init_a = terms[0] > 0;
-    const bool init_b = terms[1] > 0;
-    const std::size_t terms_a = terms[0];
-    const std::size_t terms_b = terms[1];
-    // The raw add_mul loops bypassed the tracked bound; account for the
-    // fused diagonal products before the accumulators re-enter the API.
-    if (init_a) bgv_.note_fused_affine(inner_a, state, terms_a);
-    if (init_b) bgv_.note_fused_affine(inner_b, state, terms_b);
-    Ciphertext acc;
-    bool acc_init = false;
-    if (init_a) {
-      acc = std::move(inner_a);
-      acc_init = true;
-    }
-    if (init_b) {
-      const std::size_t wrap = (cols - s) % cols;
-      if (wrap != 0) {
-        bgv_.rotate_columns_inplace(inner_b, static_cast<long>(wrap),
-                                    *rotation_keys_);
-      }
-      if (!acc_init) {
-        acc = std::move(inner_b);
-      } else {
-        bgv_.add_inplace(acc, inner_b);
-      }
-    }
-    bgv_.add_plain_inplace(acc, batch.rc[l]);
-    state = std::move(acc);
+    POE_ENSURE(sum[0].size() != 0, "affine layer produced no terms");
+    bgv_.add_plain_inplace(sum[0], batch.rc[l]);
+    state = std::move(sum[0]);
     bgv_.auto_switch_inplace(state);
   };
 
@@ -344,8 +254,7 @@ Ciphertext SimdBatchEngine::evaluate(const Ciphertext& key_ct,
     // Tile-local shift by -1; the cross-tile leak at offset 0 is masked.
     bgv_.rotate_columns_inplace(sq, static_cast<long>(cols - 1),
                                 *rotation_keys_);
-    for (auto& part : sq.parts) part.mul_inplace(batch.feistel_mask_ntt);
-    bgv_.note_mask_mul(sq);
+    bgv_.mul_plain_inplace(sq, batch.feistel_mask_ntt);
     // The mask multiply is a full plaintext product (~log2(t) + log2(n)
     // bits); on an elevated trajectory (e.g. an ingest-switched tenant key)
     // that can cross a drop threshold mid-feistel, and the replayed
@@ -377,7 +286,7 @@ Ciphertext SimdBatchEngine::evaluate(const Ciphertext& key_ct,
   return state;
 }
 
-fhe::Plaintext SimdBatchEngine::tile_mask(
+std::vector<u64> SimdBatchEngine::tile_slots(
     std::span<const std::size_t> tiles) const {
   const TileGrid grid(config_);
   std::vector<u64> mask(grid.slots(), 0);
@@ -387,7 +296,7 @@ fhe::Plaintext SimdBatchEngine::tile_mask(
       mask[grid.pos(tile, off)] = 1;
     }
   }
-  return encode_grid(mask);
+  return layout_.to_slots(mask);
 }
 
 Ciphertext SimdBatchEngine::merge_tenant_keys(
@@ -395,12 +304,13 @@ Ciphertext SimdBatchEngine::merge_tenant_keys(
   POE_ENSURE(!tenants.empty(), "merge requires at least one tenant");
   const std::size_t count = tenants.size();
   std::vector<const Ciphertext*> keys(count);
+  std::vector<std::vector<u64>> masks(count);
   std::size_t level = 0;
   for (std::size_t j = 0; j < count; ++j) {
     POE_ENSURE(tenants[j].key_ct != nullptr, "merge: null tenant key");
     POE_ENSURE(!tenants[j].tiles.empty(), "merge: tenant owns no tiles");
     keys[j] = tenants[j].key_ct;
-    POE_ENSURE(keys[j]->size() == keys[0]->size(), "ciphertext size mismatch");
+    masks[j] = tile_slots(tenants[j].tiles);
     level = j == 0 ? keys[j]->level : std::min(level, keys[j]->level);
   }
   // A key above the lowest level is switched down to it first, on a copy.
@@ -412,48 +322,13 @@ Ciphertext SimdBatchEngine::merge_tenant_keys(
     bgv_.mod_switch_to(lowered.emplace_back(*key), level);
     key = &lowered.back();
   }
-  // The masks' slot encodes fork over the tenants; then one fork over the
-  // limbs: task i lifts every tenant's mask into limb i of the scratch,
-  // transforms it and add_muls it with that tenant's key parts into the
-  // zero-seeded accumulators. Each limb's sum is exact mod its prime, so
-  // the merged key has the bits of masking every key with
-  // mul_plain_inplace and summing; but no key is copied, no masked key or
-  // partial sum is built, and the calling thread no longer runs the
-  // tenants one after another.
-  std::vector<fhe::Plaintext> masks(count);
-  parallel_for(count,
-               [&](std::size_t j) { masks[j] = tile_mask(tenants[j].tiles); });
-  const fhe::RnsContext& rns = bgv_.rns();
-  const auto& kern = rns.exec().kernels();
-  Ciphertext merged;
-  merged.level = level;
-  for (std::size_t p = 0; p < keys[0]->size(); ++p) {
-    merged.parts.emplace_back(&rns, level, /*ntt_form=*/true);
-  }
-  fhe::RnsPoly mask = fhe::RnsPoly::uninit(&rns, level, /*ntt_form=*/true);
-  parallel_for(level, [&](std::size_t i) {
-    const auto& m = rns.mod(i);
-    const auto limb = mask.rns(i);
-    for (std::size_t j = 0; j < count; ++j) {
-      fhe::RnsPoly::lift_plaintext(&rns, i, masks[j].coeffs, limb);
-      rns.ntt(i).forward(limb, kern);
-      for (std::size_t p = 0; p < merged.size(); ++p) {
-        kern.add_mul(merged.parts[p].rns(i).data(),
-                     keys[j]->parts[p].rns(i).data(), limb.data(),
-                     limb.size(), m);
-      }
-    }
-  });
-  auto& counters = rns.exec().counters();
-  counters.bump(counters.ntt_forward, level * count);
-  bgv_.note_masked_sum(merged, keys);
-  return merged;
+  return bgv_.weighted_sum(keys, encoder_.encode_each(masks));
 }
 
 Ciphertext SimdBatchEngine::extract_tiles(
     const Ciphertext& ct, std::span<const std::size_t> tiles) const {
   Ciphertext out = ct;
-  bgv_.mul_plain_inplace(out, tile_mask(tiles));
+  bgv_.mul_plain_inplace(out, encoder_.encode(tile_slots(tiles)));
   // Per-tenant results leave the service here — trim surplus levels so the
   // download is no larger than the safety band requires.
   bgv_.trim_output_inplace(out, config_.output_budget_bits);

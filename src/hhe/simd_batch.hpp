@@ -16,10 +16,10 @@
 // A lone block is served as the one-tile case of the same calls:
 // merge_tenant_keys({key, {0}}) -> evaluate -> extract_tiles({0}).
 //
-// The affine layer runs the FULL diagonal method on a hoisted state:
-// Bgv::hoist decomposes the state once and all 2t-1 rotations are served
-// from it by Bgv::rotate_hoisted_into (key inner product, mod-down and slot
-// permutation, no decomposition work) — with hoisting, 2t shared-decomposition
+// The affine layer runs the FULL diagonal method on a hoisted state, as one
+// Bgv::diagonal_sum: the state is decomposed once and all 2t-1 rotations are
+// served from it (key inner product, mod-down and slot permutation, no
+// decomposition work) — with hoisting, 2t shared-decomposition
 // rotations are cheaper than a baby/giant split whose giant steps would each
 // redo the decomposition. Two algebraic folds keep the circuit tile-local
 // at the depth of a one-block evaluation:
@@ -75,14 +75,14 @@ struct PreparedSimdBatch {
   std::size_t blocks = 0;                    ///< occupied tiles
   std::vector<std::size_t> lens;             ///< message length per block
   std::vector<std::uint64_t> nonces, counters;
-  /// diags[layer][k] = {uA, uB}: in-tile and wrap mask-folded parts of
-  /// diagonal k. A Plaintext with empty coeffs means "identically zero —
-  /// skip".
-  std::vector<std::vector<std::array<fhe::Plaintext, 2>>> diags;
+  /// diags[layer][v][k]: the in-tile (v = 0) and wrap (v = 1) mask-folded
+  /// parts of diagonal k, the weights of Bgv::diagonal_sum's two outputs. A
+  /// Plaintext with empty coeffs means "identically zero — skip".
+  std::vector<std::array<std::vector<fhe::Plaintext>, 2>> diags;
   std::vector<fhe::Plaintext> rc;            ///< per affine layer
   /// Feistel mask pre-encoded in NTT form at the top level (it is reused in
-  /// every round; mul_inplace restricts it to the round's level), shifting
-  /// that encode work onto the prepare thread.
+  /// every round; Bgv::mul_plain_inplace restricts it to the round's level),
+  /// shifting that encode work onto the prepare thread.
   fhe::RnsPoly feistel_mask_ntt;
   fhe::Plaintext message_plain;              ///< symmetric ct, tile-wise
 };
@@ -133,13 +133,12 @@ class SimdBatchEngine {
   /// well-defined garbage that extract_tiles discards). Because the whole
   /// keystream circuit is tile-local, tenant A's output slots are
   /// independent of what any other tile's key is — dropping (quarantining)
-  /// a tenant from the merge cannot perturb co-packed tenants. The whole
-  /// merge is one fork over the limbs, each task masking and summing every
-  /// tenant's key in its limb; keys above the lowest key level are first
-  /// switched down to it. The tracked bound and the tape read as a
-  /// pairwise sum of mul_plain_inplace products (Bgv::note_masked_sum), so
-  /// the bound grows by ceil(log2 T) bits for T tenants, as the sum's
-  /// noise does.
+  /// a tenant from the merge cannot perturb co-packed tenants. The masking
+  /// and the sum are one Bgv::weighted_sum (one fork over the limbs, no key
+  /// copied); keys above the lowest key level are first switched down to
+  /// it. The tracked bound and the tape read as a pairwise sum of
+  /// mul_plain_inplace products, so the bound grows by ceil(log2 T) bits for
+  /// T tenants, as the sum's noise does.
   fhe::Ciphertext merge_tenant_keys(std::span<const TenantTiles> tenants)
       const;
 
@@ -159,8 +158,9 @@ class SimdBatchEngine {
  private:
   /// Encode a row-major 2 x cols logical grid.
   fhe::Plaintext encode_grid(const std::vector<std::uint64_t>& logical) const;
-  /// 0/1 mask selecting exactly the slots of `tiles`.
-  fhe::Plaintext tile_mask(std::span<const std::size_t> tiles) const;
+  /// 0/1 mask selecting exactly the slots of `tiles`, in slot order.
+  std::vector<std::uint64_t> tile_slots(std::span<const std::size_t> tiles)
+      const;
 
   const HheConfig& config_;
   const fhe::Bgv& bgv_;

@@ -75,9 +75,4 @@ bool KeyManager::has_key(std::uint64_t client_id) const {
   return keys_.contains(client_id);
 }
 
-std::size_t KeyManager::key_count() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return keys_.size();
-}
-
 }  // namespace poe::net

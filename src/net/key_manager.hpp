@@ -32,7 +32,6 @@ class KeyManager {
   bool serve(FrameChannel& ch);
 
   bool has_key(std::uint64_t client_id) const;
-  std::size_t key_count() const;
 
  private:
   const fhe::RnsContext& ctx_;

@@ -23,13 +23,9 @@ void Router::apply_session_update(std::span<const std::uint8_t> bytes) {
   SessionState incoming = service::deserialize_session_state(bytes);
   SessionState& cached = cache_[incoming.client_id];
   cached.client_id = incoming.client_id;
-  // Union, preserving first-seen order — mirrors the merge semantics of
-  // TranscipherService::import_session, so cache and shard windows agree.
-  std::unordered_set<std::uint64_t> seen(cached.nonces.begin(),
-                                         cached.nonces.end());
-  for (const std::uint64_t nonce : incoming.nonces) {
-    if (seen.insert(nonce).second) cached.nonces.push_back(nonce);
-  }
+  // The shard's window already holds every nonce the last install gave it,
+  // clipped to the bound any install clips to, so it is cached as it is.
+  cached.nonces = std::move(incoming.nonces);
   cached.requests_served =
       std::max(cached.requests_served, incoming.requests_served);
   cached.blocks_served = std::max(cached.blocks_served, incoming.blocks_served);

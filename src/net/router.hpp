@@ -4,11 +4,13 @@
 //
 // Replay safety across shard death is the router's core invariant. Every
 // kProcessResult piggybacks key-less SessionState snapshots of the sessions
-// the wave touched; the router merges them into its nonce-window cache
-// BEFORE returning results to the caller. So for every nonce a client ever
-// saw acknowledged kOk, the cache holds it — and when a shard dies, the
-// sessions are reinstalled on the survivors from enc(K) (fetched from the
-// key manager; the router never caches key bytes) plus that cached window.
+// the wave touched; the router caches each one's window, as the shard
+// exported it, BEFORE returning results to the caller. So the cache holds
+// every nonce the owning shard still tracks (the client's newest
+// ServiceConfig::max_tracked_nonces acknowledged kOk, the most any install
+// keeps) — and when a shard dies, the sessions are reinstalled on the
+// survivors from enc(K) (fetched from the key manager; the router never
+// caches key bytes) plus that cached window.
 // A replayed nonce is rejected by the survivor exactly as the dead shard
 // would have rejected it. Requests in flight on the dead shard degrade to a
 // typed kFailed — their nonces were never acknowledged, so the client may
@@ -79,14 +81,19 @@ class Router {
   std::size_t alive_count() const { return ring_.alive_count(); }
   /// Current owning shard of a client (tests use this to pick placements).
   std::size_t owner(std::uint64_t client) const { return ring_.owner(client); }
+  /// The nonce window cached for a client from its shard's last piggyback
+  /// (empty before the first), which a reinstall sends. Valid until the
+  /// next process().
+  std::span<const std::uint64_t> cached_nonces(std::uint64_t client) const {
+    const auto it = cache_.find(client);
+    if (it == cache_.end()) return {};
+    return it->second.nonces;
+  }
 
   /// Reconnect a dead shard (a supervisor restarted or re-exposed it). The
   /// shard may have lost all session state: every install mark is dropped,
   /// so sessions lazily reinstall from enc(K) + the cached nonce windows.
   void revive_shard(std::size_t i, FrameChannel fresh);
-
-  /// Replace a dead key-manager channel (chaos recovery).
-  void reset_key_manager(FrameChannel fresh) { km_ = std::move(fresh); }
 
   std::size_t shards_lost() const { return shards_lost_; }
   std::size_t sessions_rebalanced() const { return sessions_rebalanced_; }
@@ -122,7 +129,8 @@ class Router {
   /// and a stale install mark could leave a survivor holding an outdated
   /// replay window.
   std::vector<std::unordered_set<std::uint64_t>> installed_;
-  /// Key-less session snapshots, merged from every response piggyback.
+  /// Key-less session snapshots: each client's latest piggybacked window,
+  /// and the largest served counts seen.
   std::unordered_map<std::uint64_t, service::SessionState> cache_;
   std::size_t shards_lost_ = 0;
   std::size_t sessions_rebalanced_ = 0;

@@ -187,7 +187,7 @@ void TranscipherService::open_session(u64 client_id, fhe::Ciphertext key_ct) {
   if (it != sessions_.end()) {
     // Fresh key for a known client: keep the nonce replay history.
     it->second.key_ct = std::move(key_ct);
-    touch(client_id, it->second);
+    touch(it->second);
     return;
   }
   if (sessions_.size() >= service_config_.max_sessions) {
@@ -292,7 +292,7 @@ bool TranscipherService::import_session(const SessionState& state,
   return true;
 }
 
-void TranscipherService::touch(u64 /*client_id*/, Session& session) {
+void TranscipherService::touch(Session& session) {
   lru_.splice(lru_.begin(), lru_, session.lru_pos);
 }
 
@@ -376,7 +376,7 @@ std::vector<TranscipherResult> TranscipherService::process(
       session.nonce_set.erase(session.nonce_order.front());
       session.nonce_order.pop_front();
     }
-    touch(req.client_id, session);
+    touch(session);
 
     res.blocks.resize(nblocks);
     for (std::size_t b = 0; b < nblocks; ++b) {

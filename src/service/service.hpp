@@ -291,7 +291,7 @@ class TranscipherService {
     std::uint64_t blocks_served = 0;
   };
 
-  void touch(std::uint64_t client_id, Session& session);
+  void touch(Session& session);
 
   const hhe::HheConfig& config_;
   const fhe::Bgv& bgv_;

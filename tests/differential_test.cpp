@@ -22,6 +22,7 @@
 #include "common/exec_context.hpp"
 #include "common/rng.hpp"
 #include "fhe/bgv.hpp"
+#include "fhe/noise.hpp"
 #include "fhe/param_search.hpp"
 #include "kernels/backend.hpp"
 #include "hhe/batched_server.hpp"
@@ -1039,6 +1040,168 @@ TEST(TenantKeyMergeDifferential, FusedMergeMatchesMaskThenPairwiseSum) {
             grid.begin() + static_cast<long>((tile + 1) * s));
         EXPECT_EQ(got, pasta_keys[j]) << "tenant " << j << " tile " << tile;
       }
+    }
+  }
+}
+
+
+// ------------------------------------------------ plaintext products
+
+namespace {
+// Bgv::diagonal_sum as a composition of public single-term calls: every
+// live step's rotation from one hoisted decomposition (k = 0 is ct itself,
+// unrotated), multiplied by its weight with mul_plain_inplace and summed
+// with add_inplace. Empty weights are skipped; no live weight, no parts.
+fhe::Ciphertext reference_diagonal_sum(
+    const fhe::Bgv& bgv, const fhe::Ciphertext& ct,
+    const std::vector<fhe::Plaintext>& weights, const fhe::GaloisKeys& keys) {
+  const fhe::HoistedCt hoisted = bgv.hoist(ct);
+  fhe::Ciphertext sum;
+  for (std::size_t k = 0; k < weights.size(); ++k) {
+    if (weights[k].coeffs.empty()) continue;
+    fhe::Ciphertext term = ct;
+    if (k != 0) {
+      bgv.rotate_hoisted_into(hoisted, static_cast<long>(k), keys, term);
+    }
+    bgv.mul_plain_inplace(term, weights[k]);
+    if (sum.size() == 0) {
+      sum = std::move(term);
+    } else {
+      bgv.add_inplace(sum, term);
+    }
+  }
+  return sum;
+}
+}  // namespace
+
+// The diagonal method's one Bgv op against its composition, on every kernel
+// backend: the affine layers' state widths (batched_test's 16 slots and
+// batched_demo's 64, every step a hoisted rotation) at levels 10, 6 and 2.
+// Four outputs per call: one including k = 0 and one without it (the
+// in-tile and wrap shapes), both with skipped entries; one whose only term
+// is k = 0; and one with no live weight, which is left empty. The outputs
+// are reused across levels, and each call must give the bits of fresh
+// outputs and of the reference, the tracked bound of
+// NoiseEstimator::fused_affine, and decrypt to the plaintext slot formula
+// sum_k w_k * rot_k(m). Last, a call whose only term is k = 0 runs no
+// rotation, so it needs no keys.
+TEST(PlainProductDifferential, DiagonalSumMatchesRotateMultiplyAdd) {
+  for (const hhe::HheConfig& config :
+       {hhe::HheConfig::batched_test(), hhe::HheConfig::batched_demo()}) {
+    const std::size_t s = config.pasta.state_size();
+    SCOPED_TRACE(std::to_string(s) + "-slot state");
+    const u64 t = config.bgv.t;
+    const auto live = [&](std::size_t v, std::size_t k) {
+      if (v == 2) return k == 0;
+      if (v == 3) return false;
+      if (s == 16) {
+        return v == 0 ? k != 3 && k != 9 : k != 0 && k != 4 && k != 11;
+      }
+      return k % 3 == v;
+    };
+    constexpr std::size_t kOutputs = 4;
+    const fhe::BatchEncoder encoder(config.bgv.n, t);
+    const fhe::SlotLayout layout(config.bgv.n, t);
+    Xoshiro256 rng(515151 + s);
+    std::vector<std::vector<u64>> logical_w[kOutputs];
+    std::vector<fhe::Plaintext> weights[kOutputs];
+    std::vector<long> steps;
+    for (std::size_t v = 0; v < kOutputs; ++v) {
+      logical_w[v].resize(s);
+      weights[v].resize(s);
+      for (std::size_t k = 0; k < s; ++k) {
+        if (!live(v, k)) continue;
+        logical_w[v][k] = random_msg(rng, t, config.bgv.n);
+        weights[v][k] = encoder.encode(layout.to_slots(logical_w[v][k]));
+        if (k != 0) steps.push_back(static_cast<long>(k));
+      }
+    }
+    const auto logical_m = random_msg(rng, t, config.bgv.n);
+
+    for (const kernels::Backend* backend : kernels::available_backends()) {
+      SCOPED_TRACE(backend->name());
+      ExecContext exec(nullptr, backend);
+      const fhe::Bgv bgv(config.bgv, &exec);
+      const fhe::GaloisKeys keys = bgv.make_rotation_keys(steps);
+      const fhe::Ciphertext fresh_ct =
+          bgv.encrypt(encoder.encode(layout.to_slots(logical_m)));
+      fhe::Ciphertext reused[kOutputs];
+      for (const std::size_t level : {10, 6, 2}) {
+        SCOPED_TRACE("level " + std::to_string(level));
+        fhe::Ciphertext ct = fresh_ct;
+        bgv.mod_switch_to(ct, level);
+        fhe::Ciphertext fresh[kOutputs];
+        bgv.diagonal_sum(ct, weights, keys, reused);
+        bgv.diagonal_sum(ct, weights, keys, fresh);
+        for (std::size_t v = 0; v < kOutputs; ++v) {
+          SCOPED_TRACE("output " + std::to_string(v));
+          const fhe::Ciphertext ref =
+              reference_diagonal_sum(bgv, ct, weights[v], keys);
+          EXPECT_TRUE(ciphertext_bits_equal(reused[v], ref));
+          EXPECT_TRUE(ciphertext_bits_equal(fresh[v], ref));
+          if (v == 3) {
+            EXPECT_EQ(reused[v].size(), 0u);
+            continue;
+          }
+          std::size_t terms = 0;
+          std::vector<u64> want(config.bgv.n, 0);
+          for (std::size_t k = 0; k < s; ++k) {
+            if (!live(v, k)) continue;
+            ++terms;
+            const auto rotated =
+                layout.rotate_columns(logical_m, static_cast<long>(k));
+            for (std::size_t i = 0; i < want.size(); ++i) {
+              want[i] = (want[i] + logical_w[v][k][i] * rotated[i]) % t;
+            }
+          }
+          EXPECT_EQ(reused[v].noise_bits,
+                    bgv.estimator().fused_affine(ct.noise_bits, level, terms));
+          EXPECT_EQ(layout.from_slots(encoder.decode(bgv.decrypt(reused[v]))),
+                    want);
+        }
+      }
+      // Only k = 0: a plaintext product of ct itself, no rotation keys.
+      fhe::Ciphertext only_k0;
+      bgv.diagonal_sum(fresh_ct, std::span(&weights[2], 1), fhe::GaloisKeys{},
+                       std::span(&only_k0, 1));
+      fhe::Ciphertext want = fresh_ct;
+      bgv.mul_plain_inplace(want, weights[2][0]);
+      EXPECT_TRUE(ciphertext_bits_equal(only_k0, want));
+    }
+  }
+}
+
+// The NTT-form weight overload (the Feistel mask's) against the plaintext
+// one and against multiplying each part by the lifted, transformed weight
+// with RnsPoly::mul_inplace: the same bits and tracked bound on every
+// backend, at the top level and two levels down.
+TEST(PlainProductDifferential, NttWeightMatchesPlaintextWeight) {
+  const hhe::HheConfig config = hhe::HheConfig::batched_test();
+  const fhe::BatchEncoder encoder(config.bgv.n, config.bgv.t);
+  Xoshiro256 rng(616161);
+  const fhe::Plaintext weight =
+      encoder.encode(random_msg(rng, config.bgv.t, config.bgv.n));
+  const fhe::Plaintext msg =
+      encoder.encode(random_msg(rng, config.bgv.t, config.bgv.n));
+  for (const kernels::Backend* backend : kernels::available_backends()) {
+    SCOPED_TRACE(backend->name());
+    ExecContext exec(nullptr, backend);
+    const fhe::Bgv bgv(config.bgv, &exec);
+    const fhe::RnsPoly weight_ntt = bgv.ntt_weight(weight);
+    fhe::Ciphertext ct = bgv.encrypt(msg);
+    for (int drop = 0; drop < 2; ++drop) {
+      if (drop == 1) bgv.mod_switch_to(ct, ct.level - 2);
+      fhe::Ciphertext by_plain = ct;
+      fhe::Ciphertext by_ntt = ct;
+      fhe::Ciphertext by_parts = ct;
+      bgv.mul_plain_inplace(by_plain, weight);
+      bgv.mul_plain_inplace(by_ntt, weight_ntt);
+      for (auto& part : by_parts.parts) part.mul_inplace(weight_ntt);
+      EXPECT_TRUE(ciphertext_bits_equal(by_ntt, by_plain)) << "drop " << drop;
+      EXPECT_TRUE(ciphertext_bits_equal(by_parts, by_plain)) << "drop " << drop;
+      EXPECT_EQ(by_ntt.noise_bits, by_plain.noise_bits);
+      EXPECT_EQ(by_plain.noise_bits,
+                bgv.estimator().mul_plain(ct.noise_bits));
     }
   }
 }

@@ -155,13 +155,13 @@ TEST(FaultDirected, AllocationFailureRecoversViaRetry) {
 }
 
 TEST(FaultDirected, HoistScratchAllocFailureRecoversViaRetry) {
-  // The key switch's scratch lease fails mid-diagonal-loop (the site fires
-  // on the first switch of the batch: the first k != 0 hoisted rotation of
-  // the first affine layer, after the accumulator and the k = 0 term are
-  // already built).
+  // The key switch's scratch lease fails mid-affine-layer (the site fires
+  // on the first switch of the batch: the hoisted rotations of the first
+  // affine layer's Bgv::diagonal_sum, after the hoist and before any
+  // accumulator is built).
   // The evaluate stage must surface it as a typed stage failure and
-  // recover on retry — no UB from the half-filled accumulator, no torn
-  // scratch left leased in the bank.
+  // recover on retry — no UB from the half-built layer, no torn scratch
+  // left leased in the bank.
   auto service = make_service(sequential_cfg());
   TestClient client(21, 121);
   ASSERT_TRUE(service.open_session_wire(client.id, client.key_wire()));

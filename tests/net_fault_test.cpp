@@ -11,7 +11,8 @@
 // sessions rebalance to the survivors from serialized session state with
 // ZERO nonce-replay acceptance — not for nonces acknowledged before the
 // kill, not even after the dead shard restarts empty and reinstalls from
-// the router's cache.
+// the router's cache. That cache holds each client's window as its shard
+// exported it, never more than a shard tracks (RouterNonceCache).
 //
 // RandomScheduleSweep drives seeded schedules over a menu mixing the net
 // sites with in-process stage faults and checks invariants only (the
@@ -371,6 +372,66 @@ TEST(NetFaultDirected, KilledShardRebalancesWithZeroReplayAcceptance) {
     ASSERT_TRUE(results[1].ok()) << results[1].error;
     EXPECT_EQ(decode_all(results[1]), msg_by_client[a1.id]);
   }
+}
+
+// The router caches each client's nonce window as its shard exported it,
+// so the cache holds no more than a shard tracks. A cluster of its own
+// tracks 3 nonces per session: after 6 acknowledged requests (each window
+// piggybacked separately) the cached window is the newest 3, and once the
+// owning shard is killed the survivor rejects exactly those and admits the
+// 3 older ones, which no install could have kept.
+TEST(RouterNonceCache, CachedWindowIsTheShardsClippedWindow) {
+  FaultInjector fi;  // outlives the cluster, whose shard threads read it
+  ClusterConfig cc;
+  cc.shards = 2;
+  cc.service.pipelined = false;
+  cc.service.max_tracked_nonces = 3;
+  LocalCluster small(stack().config, stack().bgv.rns(), cc);
+  Router& router = small.router();
+  u64 id = 900;
+  while (router.owner(id) != 0) ++id;
+  const TestClient client(id, 901);
+  std::string error;
+  ASSERT_TRUE(small.onboard(client.id, client.key_wire(), &error)) << error;
+  const auto msg = random_msg(stack().config.pasta.t, 902);
+  const auto cached = [&] {
+    const auto window = router.cached_nonces(client.id);
+    return std::vector<u64>(window.begin(), window.end());
+  };
+
+  std::vector<u64> acked;
+  for (int r = 0; r < 6; ++r) {
+    acked.push_back(fresh_nonce());
+    const auto results =
+        router.process(std::vector{client.request(acked.back(), msg)});
+    ASSERT_TRUE(results[0].ok()) << results[0].error;
+    EXPECT_LE(cached().size(), cc.service.max_tracked_nonces);
+  }
+  EXPECT_EQ(cached(), std::vector<u64>(acked.begin() + 3, acked.end()));
+
+  small.shard_exec(0).set_fault_injector(&fi);
+  fi.arm(FaultSpec{.site = "shard.kill", .kind = FaultClass::kForce});
+  const auto killed =
+      router.process(std::vector{client.request(fresh_nonce(), msg)});
+  small.shard_exec(0).set_fault_injector(nullptr);
+  EXPECT_EQ(killed[0].status, RequestStatus::kFailed);
+  ASSERT_FALSE(router.shard_alive(0));
+  ASSERT_EQ(router.owner(client.id), 1u);
+
+  std::vector<TranscipherRequest> newest, older;
+  for (std::size_t r = 0; r < 3; ++r) {
+    older.push_back(client.request(acked[r], msg));
+    newest.push_back(client.request(acked[r + 3], msg));
+  }
+  for (const auto& res : router.process(newest)) {
+    EXPECT_EQ(res.status, RequestStatus::kNonceReplay)
+        << "nonce " << res.nonce << " replay was accepted after rebalance";
+  }
+  for (const auto& res : router.process(older)) {
+    ASSERT_TRUE(res.ok()) << res.error;
+    EXPECT_EQ(decode_all(res), msg);
+  }
+  EXPECT_EQ(cached(), std::vector<u64>(acked.begin(), acked.begin() + 3));
 }
 
 // ---------------------------------------------------------------------------
