@@ -3,6 +3,7 @@
 // encryption (the CPU baseline of Table II), and BGV primitives.
 #include <benchmark/benchmark.h>
 
+#include <array>
 #include <chrono>
 #include <fstream>
 #include <iomanip>
@@ -195,7 +196,8 @@ BENCHMARK(BM_AcceleratorBlock)->Arg(3)->Arg(4);
 // SIMD paths is visible next to the end-to-end transcipher numbers. The ksw
 // inner product is timed twice: one hot limb that fits in L2, and one whole
 // rotation at the serving shape, whose key rows stream from beyond L2; the
-// mod-down that closes each serving-shape switch gets its own row.
+// mod-down that closes each serving-shape switch gets its own row, and so
+// does one whole double-hoisted affine layer (Bgv::diagonal_sum).
 
 /// ns/op of `op`, timed until the sample is at least ~30 ms long.
 template <typename F>
@@ -330,11 +332,31 @@ void run_kernel_backend_comparison() {
     }
   };
 
+  // One affine layer at the serving shape: Bgv::diagonal_sum of a
+  // top-level ciphertext over the engine's 2t - 1 hoisted steps into its two
+  // accumulators (the in-tile one with a k = 0 term, the wrap one without),
+  // with random slot diagonals, on a Bgv pinned to each backend.
+  const std::size_t s = serving.pasta.state_size();
+  const fhe::BatchEncoder encoder(rn, serving.bgv.t);
+  std::array<std::vector<fhe::Plaintext>, 2> diags;
+  for (std::size_t v = 0; v < 2; ++v) {
+    diags[v].resize(s);
+    for (std::size_t k = v; k < s; ++k) {
+      std::vector<std::uint64_t> slots(rn);
+      for (auto& x : slots) x = rng.below(serving.bgv.t);
+      diags[v][k] = encoder.encode(slots);
+    }
+  }
+  const std::string layer_row = "diagonal_sum_" + std::to_string(rn) + "_" +
+                                std::to_string(chain) + "+" +
+                                std::to_string(alpha);
+
   std::vector<Row> rows = {{"ntt_4096", {}},
                            {"pointwise_mul_4096", {}},
                            {"ksw_accumulate_4096x16", {}},
                            {rotation_row, {}},
-                           {mod_down_row, {}}};
+                           {mod_down_row, {}},
+                           {layer_row, {}}};
   for (const kernels::Backend* bk : kernels::available_backends()) {
     // NTT output is < q < 4q, so feeding it back in is a legal steady state.
     std::vector<std::uint64_t> x = a;
@@ -367,6 +389,15 @@ void run_kernel_backend_comparison() {
                             }));
     rows[4].ns.emplace_back(bk->name(),
                             time_ns_per_op([&] { mod_down(*bk); }));
+    ExecContext exec(nullptr, bk);
+    const fhe::Bgv bgv(serving.bgv, &exec);
+    const auto keys =
+        hhe::SimdBatchEngine::make_shared_rotation_keys(serving, bgv);
+    const fhe::Ciphertext ct = bgv.encrypt(diags[0][0]);
+    fhe::Ciphertext sums[2];
+    rows[5].ns.emplace_back(bk->name(), time_ns_per_op([&] {
+                              bgv.diagonal_sum(ct, diags, *keys, sums);
+                            }));
   }
 
   std::cout << "\nkernel backends (ns/op, speedup vs scalar):\n";

@@ -216,8 +216,8 @@ void Bgv::build_ksw_tables() {
           m.mul(m.reduce(t), product_mod(top, width, top + k, i)),
           m.value());
     }
-    p_mod_q_[i] = product_mod(top, width, width, i);
-    p_inv_[i] = shoup(m.inv(p_mod_q_[i]), m.value());
+    p_mod_q_[i] = shoup(product_mod(top, width, width, i), m.value());
+    p_inv_[i] = shoup(m.inv(p_mod_q_[i].w), m.value());
   }
 }
 
@@ -254,7 +254,7 @@ KswKey Bgv::make_ksw_key(const RnsPoly& target_ntt) const {
       auto dst = row.b.rns(j);
       auto src = target_ntt.rns(j);
       for (std::size_t idx = 0; idx < dst.size(); ++idx) {
-        dst[idx] = m.add(dst[idx], m.mul(p_mod_q_[j], src[idx]));
+        dst[idx] = m.add(dst[idx], m.mul(p_mod_q_[j].w, src[idx]));
       }
     }
     out.rows.push_back(std::move(row));
@@ -463,140 +463,129 @@ class Bgv::ScratchLease {
   HoistScratch* sc_;
 };
 
-void Bgv::key_switch(const HoistedCt& h, const RnsPoly* c1,
-                     std::span<const KswTarget> targets) const {
-  const std::size_t n = ctx_.n();
-  const std::size_t level = h.level;
-  const std::size_t top = ctx_.num_primes();
-  const std::size_t nd = h.digits.size();
-  const std::size_t count = targets.size();
-  const std::size_t width = level + alpha_;  // limbs of Q_l u P
-  auto& counters = ctx_.exec().counters();
-  // tau distributes over the decomposition (the digits and the group
-  // idempotents are integers, fixed by tau) and over the mod-down (a slot
-  // permutation commutes with the limb-wise arithmetic), so the inner
-  // product runs on the unpermuted digits against keys stored
-  // tau^-1-permuted (make_galois_key), and tau is applied once per output
-  // limb. It also folds over the addends for free: perm(c0 + y) == perm(c0)
-  // + perm(y). Nothing is read from an `out` before it is written, so
-  // reusing one cannot change the result.
-  std::vector<std::span<const std::uint32_t>> perms(count);
-  for (std::size_t j = 0; j < count; ++j) {
-    const KswTarget& target = targets[j];
-    POE_ENSURE(nd <= target.key->rows.size(),
-               "key-switching key has too few rows");
-    counters.bump(counters.key_switch);
-    counters.bump(counters.key_bytes_read, nd * width * 2 * n * sizeof(u64));
-    counters.bump(counters.ntt_inverse, 2 * alpha_);
-    counters.bump(counters.ntt_forward, 2 * level);
-    if (target.g != 1) counters.bump(counters.automorphism);
-    perms[j] = ctx_.galois_ntt_perm(target.g);
-    Ciphertext& out = *target.out;
-    out.level = level;
-    out.parts.resize(2);
-    out.parts[0].reshape_uninit(&ctx_, level, /*ntt_form=*/true);
-    out.parts[1].reshape_uninit(&ctx_, level, /*ntt_form=*/true);
+void Bgv::reshape_scratch(HoistScratch& sc, std::size_t polys) const {
+  if (sc.acc.size() < polys) sc.acc.resize(polys);
+  for (std::size_t k = 0; k < polys; ++k) {
+    sc.acc[k].reshape_uninit(&key_ctx_, key_ctx_.num_primes(),
+                             /*ntt_form=*/true);
   }
-  ScratchLease lease(*this);
-  HoistScratch& sc = *lease;
-  if (sc.acc.size() < 2 * count) sc.acc.resize(2 * count);
-  for (std::size_t k = 0; k < 2 * count; ++k) {
-    sc.acc[k].reshape_uninit(&key_ctx_, top + alpha_, /*ntt_form=*/true);
+}
+
+template <class Fill>
+void Bgv::mod_down(HoistScratch& sc, std::size_t level,
+                   std::span<const DownTarget> targets, Fill&& fill) const {
+  const std::size_t n = ctx_.n();
+  const std::size_t top = ctx_.num_primes();
+  const std::size_t count = targets.size();
+  // tau distributes over the mod-down (a slot permutation commutes with the
+  // limb-wise arithmetic) and folds over the addends for free: perm(c0 + y)
+  // == perm(c0) + perm(y). Nothing is read from an out before it is
+  // written, so reusing one cannot change the result.
+  std::vector<const std::uint32_t*> perms(count, nullptr);
+  for (std::size_t j = 0; j < count; ++j) {
+    const DownTarget& target = targets[j];
+    if (target.g != 1) perms[j] = ctx_.galois_ntt_perm(target.g).data();
+    target.out->level = level;
+    target.out->parts.resize(2);
+    for (auto& part : target.out->parts) {
+      part.reshape_uninit(&ctx_, level, /*ntt_form=*/true);
+    }
   }
   const auto& kern = ctx_.exec().kernels();
-  // Fork 1, per (target, key-basis limb of Q_l u P): the lazy 128-bit inner
-  // product (raw digit*key sums, one Barrett flush per slot) in the kernel
-  // backend. Each special limb then leaves NTT form scaled by
-  // (t (P/p_k))^{-1}: the first half of delta = t [x t^{-1}]_P's fast
-  // conversion.
-  parallel_for(count * width, [&](std::size_t task) {
-    const std::size_t j = task / width;
-    const std::size_t r = task % width;
+  parallel_for(level + alpha_, [&](std::size_t r) {
     const std::size_t i = r < level ? r : top + (r - level);
-    const KswKey& key = *targets[j].key;
+    fill(i);
+    if (r < level) return;
+    const ShoupConst& w = special_scale_[r - level];
+    for (std::size_t k = 0; k < 2 * count; ++k) {
+      auto x = sc.acc[k].rns(i);
+      key_ctx_.ntt(i).inverse(x, kern);
+      kern.mul_shoup(x.data(), x.data(), n, w.w, w.w_shoup,
+                     key_ctx_.prime(i));
+    }
+  });
+  // delta_i = t (sum_k v_k (P/p_k)) mod q_i, built in out's limb.
+  parallel_for(count * level, [&](std::size_t task) {
+    const std::size_t j = task / level;
+    const std::size_t i = task % level;
+    const DownTarget& target = targets[j];
+    const auto& m = ctx_.mod(i);
+    const ShoupConst& pinv = p_inv_[i];
+    const RnsPoly* addends[2] = {target.add0, target.add1};
+    for (std::size_t p = 0; p < 2; ++p) {
+      RnsPoly& x = sc.acc[2 * j + p];
+      u64* acc = x.rns(i).data();
+      const auto dst = target.out->parts[p].rns(i);
+      convert_limb(kern, dst.data(), x.rns(top).data(),
+                   &special_to_q_[i * alpha_], alpha_, n, m);
+      ctx_.ntt(i).forward(dst, kern);
+      kern.sub(acc, dst.data(), n, m);
+      const u64* add =
+          addends[p] != nullptr ? addends[p]->rns(i).data() : nullptr;
+      if (perms[j] == nullptr) {
+        kern.mul_shoup(dst.data(), acc, n, pinv.w, pinv.w_shoup, m.value());
+        if (add != nullptr) kern.add(dst.data(), add, n, m);
+        continue;
+      }
+      kern.mul_shoup(acc, acc, n, pinv.w, pinv.w_shoup, m.value());
+      if (add != nullptr) {
+        kern.permute_add(dst.data(), add, acc, perms[j], n, m);
+      } else {
+        kern.permute(dst.data(), acc, perms[j], n);
+      }
+    }
+  });
+  auto& counters = ctx_.exec().counters();
+  counters.bump(counters.ntt_inverse, 2 * alpha_ * count);
+  counters.bump(counters.ntt_forward, 2 * level * count);
+}
+
+void Bgv::key_switch(const HoistedCt& h, const RnsPoly* c1, const KswKey& key,
+                     u64 g, Ciphertext& out) const {
+  const std::size_t n = ctx_.n();
+  const std::size_t level = h.level;
+  const std::size_t nd = h.digits.size();
+  POE_ENSURE(nd <= key.rows.size(), "key-switching key has too few rows");
+  auto& counters = ctx_.exec().counters();
+  counters.bump(counters.key_switch);
+  counters.bump(counters.key_bytes_read,
+                nd * (level + alpha_) * 2 * n * sizeof(u64));
+  if (g != 1) counters.bump(counters.automorphism);
+  ScratchLease lease(*this);
+  HoistScratch& sc = *lease;
+  reshape_scratch(sc, 2);
+  const auto& kern = ctx_.exec().kernels();
+  // The inner product runs on the unpermuted digits against keys stored
+  // tau^-1-permuted (make_galois_key); the finish applies tau once per
+  // output limb.
+  const DownTarget target{&out, &h.c0, c1, g};
+  mod_down(sc, level, std::span(&target, 1), [&](std::size_t i) {
     std::vector<const u64*> dig(nd), kb(nd), ka(nd);
     for (std::size_t w = 0; w < nd; ++w) {
       dig[w] = h.digits[w].rns(i).data();
       kb[w] = key.rows[w].b.rns(i).data();
       ka[w] = key.rows[w].a.rns(i).data();
     }
-    const auto& m = key_ctx_.mod(i);
-    auto acc0 = sc.acc[2 * j].rns(i);
-    auto acc1 = sc.acc[2 * j + 1].rns(i);
-    kern.ksw_accumulate(acc0.data(), acc1.data(), dig.data(), kb.data(),
-                        ka.data(), nd, n, nullptr, m, /*acc0=*/false,
-                        /*acc1=*/false);
-    if (r < level) return;
-    const ShoupConst& w = special_scale_[r - level];
-    for (const auto acc : {acc0, acc1}) {
-      key_ctx_.ntt(i).inverse(acc, kern);
-      kern.mul_shoup(acc.data(), acc.data(), n, w.w, w.w_shoup, m.value());
-    }
+    kern.ksw_accumulate(sc.acc[0].rns(i).data(), sc.acc[1].rns(i).data(),
+                        dig.data(), kb.data(), ka.data(), nd, n, nullptr,
+                        key_ctx_.mod(i), /*acc0=*/false, /*acc1=*/false);
   });
-  // Fork 2, per (target, chain limb): delta_i = t (sum_k v_k (P/p_k)) mod
-  // q_i (built in out's limb, which the finish overwrites), its forward
-  // NTT, then (x_i - delta_i) P^{-1} and the closing permute(-add).
-  parallel_for(count * level, [&](std::size_t task) {
-    const std::size_t j = task / level;
-    const std::size_t i = task % level;
-    Ciphertext& out = *targets[j].out;
-    const auto& m = ctx_.mod(i);
-    const ShoupConst& pinv = p_inv_[i];
-    const ShoupConst* to_q = &special_to_q_[i * alpha_];
-    RnsPoly& x0 = sc.acc[2 * j];
-    RnsPoly& x1 = sc.acc[2 * j + 1];
-    u64* acc[2] = {x0.rns(i).data(), x1.rns(i).data()};
-    const u64* special[2] = {x0.rns(top).data(), x1.rns(top).data()};
-    for (std::size_t p = 0; p < 2; ++p) {
-      auto delta = out.parts[p].rns(i);
-      convert_limb(kern, delta.data(), special[p], to_q, alpha_, n, m);
-      ctx_.ntt(i).forward(delta, kern);
-      kern.sub(acc[p], delta.data(), n, m);
-      kern.mul_shoup(acc[p], acc[p], n, pinv.w, pinv.w_shoup, m.value());
-    }
-    const std::uint32_t* perm = perms[j].data();
-    kern.permute_add(out.parts[0].rns(i).data(), h.c0.rns(i).data(), acc[0],
-                     perm, n, m);
-    if (c1 != nullptr) {
-      kern.permute_add(out.parts[1].rns(i).data(), c1->rns(i).data(), acc[1],
-                       perm, n, m);
-    } else {
-      kern.permute(out.parts[1].rns(i).data(), acc[1], perm, n);
-    }
-  });
-  for (const KswTarget& target : targets) {
-    target.out->noise_bits = est_->key_switch(h.noise_bits, level);
-    target.out->trace_id =
-        record_node(static_cast<std::uint8_t>(NoiseOp::kKeySwitch),
-                    record_operand(h.trace_id), -1);
-  }
+  out.noise_bits = est_->key_switch(h.noise_bits, level);
+  out.trace_id = record_node(static_cast<std::uint8_t>(NoiseOp::kKeySwitch),
+                             record_operand(h.trace_id), -1);
 }
 
 void Bgv::rotate_hoisted_into(const HoistedCt& hoisted, long step,
                               const GaloisKeys& keys, Ciphertext& out) const {
-  rotate_hoisted_into(hoisted, std::span<const long>(&step, 1), keys,
-                      std::span<Ciphertext>(&out, 1));
-}
-
-void Bgv::rotate_hoisted_into(const HoistedCt& hoisted,
-                              std::span<const long> steps,
-                              const GaloisKeys& keys,
-                              std::span<Ciphertext> outs) const {
-  POE_ENSURE(steps.size() == outs.size(),
-             "rotate_hoisted_into needs one output per step");
   const std::size_t n = ctx_.n();
   const long c = static_cast<long>(n / 2);
-  std::vector<KswTarget> targets(steps.size());
-  for (std::size_t j = 0; j < steps.size(); ++j) {
-    const long s = ((steps[j] % c) + c) % c;
-    POE_ENSURE(s != 0, "rotate_hoisted_into requires a nonzero step");
-    const auto it = keys.keys.find(s);
-    POE_ENSURE(it != keys.keys.end(), "no rotation key for step " << s);
-    targets[j] = {&it->second, galois_elt_for_step(n, s), &outs[j]};
-  }
+  const long s = ((step % c) + c) % c;
+  POE_ENSURE(s != 0, "rotate_hoisted_into requires a nonzero step");
+  const auto it = keys.keys.find(s);
+  POE_ENSURE(it != keys.keys.end(), "no rotation key for step " << s);
   auto& counters = ctx_.exec().counters();
-  counters.bump(counters.hoisted_rotation, steps.size());
-  key_switch(hoisted, nullptr, targets);
+  counters.bump(counters.hoisted_rotation);
+  key_switch(hoisted, nullptr, it->second, galois_elt_for_step(n, s), out);
 }
 
 GaloisKeys Bgv::make_rotation_keys(const std::vector<long>& steps) const {
@@ -886,34 +875,140 @@ void Bgv::diagonal_sum(const Ciphertext& ct,
                        std::span<Ciphertext> outs) const {
   POE_ENSURE(weights.size() == outs.size(),
              "diagonal sum needs one weight list per output");
+  POE_ENSURE(ct.size() == 2, "diagonal sum requires a 2-part ciphertext");
+  const std::size_t n = ctx_.n();
+  const std::size_t level = ct.level;
   const auto live = [&](std::size_t v, std::size_t k) {
     return k < weights[v].size() && !weights[v][k].coeffs.empty();
   };
   std::size_t width = 0;  // steps 0..width-1
   for (const auto& w : weights) width = std::max(width, w.size());
-  std::vector<long> steps;
-  for (std::size_t k = 1; k < width; ++k) {
-    bool any = false;
-    for (std::size_t v = 0; v < outs.size(); ++v) any = any || live(v, k);
-    if (any) steps.push_back(static_cast<long>(k));
-  }
-  std::vector<Ciphertext> rots(steps.size());
-  if (!steps.empty()) rotate_hoisted_into(hoist(ct), steps, keys, rots);
-  std::vector<const Ciphertext*> source(width, &ct);
-  for (std::size_t j = 0; j < steps.size(); ++j) source[steps[j]] = &rots[j];
-  std::vector<PlainTerm> terms;
+  // Every output with a live term takes one accumulator pair and one
+  // mod-down target; one with none is left empty.
+  std::vector<std::size_t> count(outs.size(), 0), output_of;
+  std::vector<DownTarget> targets;
+  std::size_t terms = 0, switched_terms = 0;  // live; those with k >= 1
   for (std::size_t v = 0; v < outs.size(); ++v) {
-    for (std::size_t k = 0; k < width; ++k) {
-      if (live(v, k)) terms.push_back({v, source[k], weights[v][k].coeffs});
-    }
-  }
-  const std::vector<std::size_t> count = plain_products(terms, outs);
-  for (std::size_t v = 0; v < outs.size(); ++v) {
+    for (std::size_t k = 0; k < width; ++k) count[v] += live(v, k) ? 1 : 0;
     if (count[v] == 0) {
       outs[v] = Ciphertext{};
       continue;
     }
-    outs[v].noise_bits = est_->fused_affine(ct.noise_bits, ct.level, count[v]);
+    terms += count[v];
+    switched_terms += count[v] - (live(v, 0) ? 1 : 0);
+    output_of.push_back(v);
+    targets.push_back({.out = &outs[v]});
+  }
+  if (targets.empty()) return;
+  struct Step {
+    std::size_t k;
+    const KswKey* key;
+    const std::uint32_t* perm;
+  };
+  std::vector<Step> steps;
+  const long c = static_cast<long>(n / 2);
+  for (std::size_t k = 1; k < width; ++k) {
+    bool any = false;
+    for (const std::size_t v : output_of) any = any || live(v, k);
+    if (!any) continue;
+    const long s = static_cast<long>(k) % c;
+    POE_ENSURE(s != 0, "diagonal sum step " << k << " is a zero rotation");
+    const auto it = keys.keys.find(s);
+    POE_ENSURE(it != keys.keys.end(), "no rotation key for step " << s);
+    steps.push_back({k, &it->second,
+                     ctx_.galois_ntt_perm(galois_elt_for_step(n, s)).data()});
+  }
+  // c0 enters below as P * c0 straight from ct, so the hoist takes no copy.
+  const HoistedCt h =
+      steps.empty() ? HoistedCt{} : decompose(RnsPoly{}, ct.parts[1], ct);
+  const std::size_t nd = h.digits.size();
+  for (const Step& step : steps) {
+    POE_ENSURE(nd <= step.key->rows.size(),
+               "key-switching key has too few rows");
+  }
+  const std::size_t pairs = targets.size();
+  // Per-limb temporaries after the accumulator pairs: the inner product,
+  // its permutation, the lifted diagonal and P * c0.
+  enum { kIp0, kIp1, kRot0, kRot1, kWeight, kPc0, kTemps };
+  ScratchLease lease(*this);
+  HoistScratch& sc = *lease;
+  reshape_scratch(sc, 2 * pairs + kTemps);
+  const auto& kern = ctx_.exec().kernels();
+  // Per limb i of Q_l u P, output v's accumulator pair is
+  //   sum_{k >= 1} d_k * tau_k(ip_k + (P c0, 0)) + P d_0 ct,
+  // with ip_k the raw inner product pair against the tau_k^-1-permuted key.
+  // The P multiples vanish on the special limbs, so the mod-down's delta
+  // sees only the switched terms and (x + P y - delta) / P = (x - delta) /
+  // P + y: the output is the rotate-multiply-add sum, rounded once.
+  mod_down(sc, level, targets, [&](std::size_t i) {
+    const bool chain = i < level;
+    const auto& m = key_ctx_.mod(i);
+    const auto temp = [&](std::size_t which) {
+      return sc.acc[2 * pairs + which].rns(i).data();
+    };
+    u64* w = temp(kWeight);
+    const auto lift = [&](const Plaintext& pt) {
+      RnsPoly::lift_plaintext(&key_ctx_, i, pt.coeffs, {w, n});
+      key_ctx_.ntt(i).forward({w, n}, kern);
+    };
+    for (std::size_t x = 0; x < 2 * pairs; ++x) {
+      std::fill_n(sc.acc[x].rns(i).data(), n, u64{0});
+    }
+    if (chain) {
+      const ShoupConst& p = p_mod_q_[i];
+      for (std::size_t j = 0; j < pairs; ++j) {
+        const std::size_t v = output_of[j];
+        if (!live(v, 0)) continue;
+        lift(weights[v][0]);
+        kern.mul_shoup(w, w, n, p.w, p.w_shoup, m.value());
+        for (std::size_t q = 0; q < 2; ++q) {
+          kern.add_mul(sc.acc[2 * j + q].rns(i).data(),
+                       ct.parts[q].rns(i).data(), w, n, m);
+        }
+      }
+      if (!steps.empty()) {
+        kern.mul_shoup(temp(kPc0), ct.parts[0].rns(i).data(), n, p.w,
+                       p.w_shoup, m.value());
+      }
+    }
+    std::vector<const u64*> dig(nd), kb(nd), ka(nd);
+    for (std::size_t d = 0; d < nd; ++d) dig[d] = h.digits[d].rns(i).data();
+    for (const Step& step : steps) {
+      for (std::size_t d = 0; d < nd; ++d) {
+        kb[d] = step.key->rows[d].b.rns(i).data();
+        ka[d] = step.key->rows[d].a.rns(i).data();
+      }
+      kern.ksw_accumulate(temp(kIp0), temp(kIp1), dig.data(), kb.data(),
+                          ka.data(), nd, n, nullptr, m, /*acc0=*/false,
+                          /*acc1=*/false);
+      if (chain) kern.add(temp(kIp0), temp(kPc0), n, m);
+      kern.permute(temp(kRot0), temp(kIp0), step.perm, n);
+      kern.permute(temp(kRot1), temp(kIp1), step.perm, n);
+      for (std::size_t j = 0; j < pairs; ++j) {
+        const std::size_t v = output_of[j];
+        if (!live(v, step.k)) continue;
+        lift(weights[v][step.k]);
+        kern.add_mul(sc.acc[2 * j].rns(i).data(), temp(kRot0), w, n, m);
+        kern.add_mul(sc.acc[2 * j + 1].rns(i).data(), temp(kRot1), w, n, m);
+      }
+    }
+  });
+  auto& counters = ctx_.exec().counters();
+  counters.bump(counters.hoisted_rotation, steps.size());
+  counters.bump(counters.key_switch, steps.size());
+  counters.bump(counters.automorphism, steps.size());
+  counters.bump(counters.key_bytes_read,
+                steps.size() * nd * (level + alpha_) * 2 * n * sizeof(u64));
+  counters.bump(counters.ntt_forward,
+                level * terms + alpha_ * switched_terms);
+  // Each step's inner product is a key switch whose output the op consumes:
+  // one kKeySwitch node per step, as the rotation it replaces recorded.
+  for (std::size_t j = 0; j < steps.size(); ++j) {
+    record_node(static_cast<std::uint8_t>(NoiseOp::kKeySwitch),
+                record_operand(ct.trace_id), -1);
+  }
+  for (const std::size_t v : output_of) {
+    outs[v].noise_bits = est_->fused_affine(ct.noise_bits, level, count[v]);
     outs[v].trace_id =
         record_node(static_cast<std::uint8_t>(NoiseOp::kFusedAffine),
                     record_operand(ct.trace_id), -1, 0,

@@ -173,13 +173,21 @@ class Bgv {
   /// ceil(log2 T) bits for T sources, as the noise does.
   Ciphertext weighted_sum(std::span<const Ciphertext* const> srcs,
                           std::span<const Plaintext> weights) const;
-  /// The diagonal method: outs[v] = sum_k weights[v][k] * rot_k(ct), with
-  /// rot_0(ct) = ct and an empty Plaintext a skipped term. Hoists ct (2
-  /// parts) once and serves every live step k >= 1 in one multi-target
-  /// switch (rotate_hoisted_into), then sums into the outputs in one fork
-  /// over (output, limb). Each output is charged one kFusedAffine over ct
-  /// with its live term count (NoiseEstimator::fused_affine); one with no
-  /// live term is left empty. The outputs must not alias ct.
+  /// The diagonal method, double-hoisted: outs[v] = sum_k weights[v][k] *
+  /// rot_k(ct), with rot_0(ct) = ct and an empty Plaintext a skipped term.
+  /// Hoists ct (2 parts) once, then one fork over the limbs of Q_l u P in
+  /// which each task takes every live step k >= 1 in turn: its key inner
+  /// product over the shared digits, the permutation tau_k, and an add_mul
+  /// of the result with each output's diagonal (lifted and transformed on
+  /// that limb, special limbs included) into that output's accumulator.
+  /// c0's share and the k = 0 term enter the chain limbs as multiples of P,
+  /// which the mod-down's correction does not see, so each accumulator
+  /// closes with ONE mod-down by P instead of one per rotation, and no
+  /// rotated ciphertext is ever written. The rounding therefore differs
+  /// from rotating, multiplying and adding: the plaintext is the same, the
+  /// bits are not. Each output is charged one kFusedAffine over ct with its
+  /// live term count (NoiseEstimator::fused_affine); one with no live term
+  /// is left empty. The outputs must not alias ct.
   void diagonal_sum(const Ciphertext& ct,
                     std::span<const std::vector<Plaintext>> weights,
                     const GaloisKeys& keys, std::span<Ciphertext> outs) const;
@@ -222,14 +230,6 @@ class Bgv {
   /// Thread-safe: concurrent callers lease distinct scratches.
   void rotate_hoisted_into(const HoistedCt& hoisted, long step,
                            const GaloisKeys& keys, Ciphertext& out) const;
-  /// Every rotation of one hoisted decomposition at once: outs[j] receives
-  /// the rotation by steps[j], bit-identical to rotate_hoisted_into(hoisted,
-  /// steps[j], keys, outs[j]) and with the same counters, but the switches
-  /// share the key switch's two fork-joins (one task per rotation and limb)
-  /// instead of taking two each. The outputs must be distinct.
-  void rotate_hoisted_into(const HoistedCt& hoisted,
-                           std::span<const long> steps, const GaloisKeys& keys,
-                           std::span<Ciphertext> outs) const;
 
   // --- Cross-domain ingest (multi-tenant serving).
   /// Key-switching key that moves a 2-part ciphertext encrypted under
@@ -321,16 +321,18 @@ class Bgv {
     std::span<const std::uint64_t> coeffs = {};
     const RnsPoly* ntt = nullptr;
   };
-  /// The one ciphertext x plaintext kernel every public product runs:
-  /// outs[o] = sum of weight * src over the terms with out == o, at the
-  /// sources' common level; returns each output's term count. One fork over
-  /// (output, limb): a task lifts each coefficient-form weight into its own
-  /// n-word buffer (not a pool slab, so forked callers draw nothing from
-  /// the pool), transforms it and multiplies it into the limb, the first
-  /// term over a copy of its source (the residues of add_mul into a zeroed
-  /// limb), the rest with add_mul. An output may be the source of its only
-  /// term (in place) and no other; one with no term is left as it is. The
-  /// bound and tape node are the caller's.
+  /// The ciphertext x plaintext kernel of mul_plain_inplace and
+  /// weighted_sum (diagonal_sum runs its products fused with its rotations'
+  /// inner products instead): outs[o] = sum of weight * src over the terms
+  /// with out == o, at the sources' common level; returns each output's
+  /// term count. One fork over (output, limb): a task lifts each
+  /// coefficient-form weight into its own n-word buffer (not a pool slab,
+  /// so forked callers draw nothing from the pool), transforms it and
+  /// multiplies it into the limb, the first term over a copy of its source
+  /// (the residues of add_mul into a zeroed limb), the rest with add_mul. An
+  /// output may be the source of its only term (in place) and no other; one
+  /// with no term is left as it is. The bound and tape node are the
+  /// caller's.
   std::vector<std::size_t> plain_products(std::span<const PlainTerm> terms,
                                           std::span<Ciphertext> outs) const;
   /// mul_plain_inplace of `a` by the weight of `term` (whose src is &a).
@@ -343,9 +345,10 @@ class Bgv {
   KswKey make_galois_key(std::uint64_t galois_element,
                          const RnsPoly& s_coeff) const;
 
-  // --- The one key-switch pipeline: decompose -> inner product -> finish.
+  // --- The one key-switch pipeline: decompose -> inner product -> mod-down.
   // Every switch (relinearisation, both rotation paths, ingest) runs
-  // through these two functions.
+  // decompose and key_switch; diagonal_sum runs decompose and its own
+  // inner products, and closes with the same mod_down.
   /// Stage 1, the switched component's basis extension: takes c0 as is and
   /// `c` (NTT form, at `from.level`) by value, and returns them as a
   /// HoistedCt carrying `from`'s level, noise bound and tape node. Digit b
@@ -355,42 +358,24 @@ class Bgv {
   /// limbs are c's NTT limbs as they are. Costs `level` inverse NTTs and
   /// ceil(level / alpha) * (level + alpha) - level forward NTTs.
   HoistedCt decompose(RnsPoly c0, RnsPoly c, const Ciphertext& from) const;
-  /// One output of a key switch: its key, the automorphism tau_g the finish
-  /// applies (g = 1 for relinearisation and ingest) and where it goes.
-  struct KswTarget {
-    const KswKey* key = nullptr;
-    std::uint64_t g = 1;
-    Ciphertext* out = nullptr;
-  };
-  /// Stages 2 and 3, for every target of one decomposition: the key inner
-  /// product over h.digits on Q_l u P, the mod-down (x - delta) / P with
-  /// delta = t [x t^{-1}]_P, and the finish
+  /// Stages 2 and 3 of one switch: the key inner product over h.digits on
+  /// Q_l u P, then the mod-down and the finish
   ///   out = tau_g(h.c0 + ip_b / P, c1 + ip_a / P),
-  /// with c1 == nullptr read as zero. Two fork-joins whatever the number
-  /// of targets: per (target, key-basis limb), the kernel inner product
-  /// flushes into a leased HoistScratch in overwrite mode and the special
-  /// limbs leave NTT form scaled by (t (P/p_k))^{-1}; per (target, chain
-  /// limb), the conversion of those limbs (delta), its forward NTT, the
-  /// subtraction, the scale by P^{-1} and one fused permute(-add) write the
-  /// limb of out, whose parts are reshaped in place (no pool traffic once
-  /// warm; delta borrows out's limb before the finish overwrites it). Each
-  /// target's result depends only on (h, c1, key, g). No `out` may alias
-  /// h.c0, *c1 or another target's out. Also sets each out's level, noise
-  /// bound and tape node (in target order), and counts each switch.
-  void key_switch(const HoistedCt& h, const RnsPoly* c1,
-                  std::span<const KswTarget> targets) const;
-  /// The single-target switch every other path runs.
+  /// with c1 == nullptr read as zero (g = 1 for relinearisation and
+  /// ingest). The kernel inner product flushes into a leased HoistScratch
+  /// in overwrite mode, one task per key-basis limb of the mod-down's first
+  /// fork. The result depends only on (h, c1, key, g); `out` may not alias
+  /// h.c0 or *c1. Also sets out's noise bound and tape node, and counts
+  /// the switch.
   void key_switch(const HoistedCt& h, const RnsPoly* c1, const KswKey& key,
-                  std::uint64_t g, Ciphertext& out) const {
-    const KswTarget target{&key, g, &out};
-    key_switch(h, c1, std::span<const KswTarget>(&target, 1));
-  }
+                  std::uint64_t g, Ciphertext& out) const;
 
-  /// Reusable key-switch scratch: the overwrite-mode inner-product outputs
-  /// over the key basis (acc[2j], acc[2j + 1] for target j), which the
-  /// mod-down turns into the switched limbs in place. Leased (never shared)
-  /// per switch; the bank grows to the peak number of concurrent switches
-  /// and targets, then stops touching the pool.
+  /// Reusable key-switch scratch over the key basis: accumulator pairs
+  /// acc[2j], acc[2j + 1] (one per mod-down target j), which the mod-down
+  /// turns into the switched limbs in place, then diagonal_sum's per-limb
+  /// temporaries. Each task of a fork writes only its own limb. Leased
+  /// (never shared) per switch or affine layer; the bank grows to the peak
+  /// number of concurrent leases, then stops touching the pool.
   struct HoistScratch {
     std::vector<RnsPoly> acc;
     std::atomic<bool> in_use{false};
@@ -401,6 +386,33 @@ class Bgv {
   class ScratchLease;
   HoistScratch& lease_hoist_scratch() const;
   void release_hoist_scratch(HoistScratch& sc) const noexcept;
+  /// acc[0..polys) reshaped over the key basis, uninitialised.
+  void reshape_scratch(HoistScratch& sc, std::size_t polys) const;
+
+  /// Where one accumulator pair goes after the mod-down: out = tau_g(add0 +
+  /// x0 / P, add1 + x1 / P), an absent addend read as zero.
+  struct DownTarget {
+    Ciphertext* out = nullptr;
+    const RnsPoly* add0 = nullptr;
+    const RnsPoly* add1 = nullptr;
+    std::uint64_t g = 1;
+  };
+  /// The one mod-down every switch and every diagonal sum closes with, over
+  /// accumulator pairs sc.acc[2j], sc.acc[2j + 1] on Q_l u P (one per
+  /// target j). Fork 1, per limb i of Q_l u P: fill(i) writes limb i of
+  /// every pair; on a special limb the pairs then leave NTT form scaled by
+  /// (t (P/p_k))^{-1}, the first half of delta = t [x t^{-1}]_P's fast
+  /// conversion. Fork 2, per (target, chain limb): delta's conversion
+  /// (built in out's limb, which the finish overwrites), its forward NTT,
+  /// (x - delta) P^{-1} and the finish — one fused permute(-add) when g !=
+  /// 1, else the scaled limb written straight into out plus the addend.
+  /// Each out's parts are reshaped in place to `level` (no pool traffic once
+  /// warm). Counts the mod-downs' 2 alpha inverse and 2 level forward NTTs
+  /// per target; the bound, tape node and switch counters are the caller's.
+  /// No out may alias an addend or another target's out.
+  template <class Fill>
+  void mod_down(HoistScratch& sc, std::size_t level,
+                std::span<const DownTarget> targets, Fill&& fill) const;
 
   /// A constant w < q with its Shoup companion floor(w 2^64 / q).
   struct ShoupConst {
@@ -433,9 +445,8 @@ class Bgv {
   std::vector<GroupTables> group_tables_;
   /// Mod-down constants: (t (P/p_k))^{-1} mod p_k per special prime k,
   /// t (P/p_k) mod q_i at [i * alpha + k], and P^{-1} mod q_i; P mod q_i
-  /// scales the key rows' target term.
-  std::vector<ShoupConst> special_scale_, special_to_q_, p_inv_;
-  std::vector<std::uint64_t> p_mod_q_;
+  /// scales the key rows' target term and diagonal_sum's unswitched terms.
+  std::vector<ShoupConst> special_scale_, special_to_q_, p_inv_, p_mod_q_;
   mutable Xoshiro256 rng_;
   RnsPoly s_key_;    // key basis, NTT
   RnsPoly s_ntt_;    // top level

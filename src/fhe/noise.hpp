@@ -101,10 +101,20 @@ class NoiseEstimator {
     return std::max(a, ksw_bound(level)) + 1.0;
   }
 
-  /// Bound after one fused diagonal accumulation: `terms` plaintext-times-
-  /// rotation products summed into one accumulator, every source served
-  /// from the same hoisted state (the unrotated k=0 term is dominated by
-  /// the rotated bound).
+  /// Bound after one double-hoisted diagonal accumulation
+  /// (Bgv::diagonal_sum): `terms` plaintext-times-rotation products of one
+  /// hoisted state summed over Q_l u P and closed by ONE mod-down. With v
+  /// the state's invariant noise, d_k the diagonals (|d_k y| <= t n |y|),
+  /// E_k the key noise of step k and delta the accumulator's correction,
+  /// the output's invariant noise is
+  ///   sum_k d_k (tau_k(v) + t E_k / P) - (delta0 + delta1 s) / P,
+  /// the unrotated k = 0 term carrying no E. tau_k keeps |v|, and
+  /// ksw_bound B covers |t E_k| / P and |delta0 + delta1 s| / P together,
+  /// so with M = max(|v|, B) the sum is at most terms t n (|v| + |t E| /
+  /// P) + |delta s| / P <= terms t n (M + B) <= terms t n 2M, which is
+  /// mul_plain(key_switch(v)) + log2(terms). The rounding enters once,
+  /// unscaled by any diagonal, where this formula charges it once per term
+  /// times t n, so the bound holds with that much slack.
   double fused_affine(double state_noise, std::size_t level,
                       std::size_t terms) const {
     return mul_plain(key_switch(state_noise, level)) +

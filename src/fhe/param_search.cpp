@@ -183,11 +183,13 @@ SimResult simulate(const CircuitProfile& profile, const BgvParams& params,
         s.noise = est.fused_affine(a->noise, a->level, node.terms);
         s.level = a->level;
         s.parts = 2;
-        // One shared hoist decomposition, then per-diagonal inner product,
-        // mod-down, fused accumulate and diagonal encode.
-        r.work += wm.decompose(lvl) +
-                  node.terms * (wm.inner_product(lvl) + wm.mod_down(lvl) +
-                                2.0 * lvl * wm.n + wm.ntt(lvl));
+        // One shared hoist decomposition and one mod-down per accumulator;
+        // per diagonal, the inner product and the diagonal's encode and
+        // fused accumulate on Q_l u P.
+        r.work += wm.decompose(lvl) + wm.mod_down(lvl) +
+                  node.terms * (wm.inner_product(lvl) +
+                                2.0 * (lvl + wm.alpha) * wm.n +
+                                wm.ntt(lvl + wm.alpha));
         break;
     }
 

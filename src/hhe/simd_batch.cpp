@@ -327,8 +327,11 @@ Ciphertext SimdBatchEngine::merge_tenant_keys(
 
 Ciphertext SimdBatchEngine::extract_tiles(
     const Ciphertext& ct, std::span<const std::size_t> tiles) const {
-  Ciphertext out = ct;
-  bgv_.mul_plain_inplace(out, encoder_.encode(tile_slots(tiles)));
+  // A one-source weighted sum writes the product into a fresh ciphertext
+  // (no copy of ct) and charges exactly mul_plain_inplace's bound and node.
+  const Ciphertext* src = &ct;
+  const fhe::Plaintext mask = encoder_.encode(tile_slots(tiles));
+  Ciphertext out = bgv_.weighted_sum(std::span(&src, 1), std::span(&mask, 1));
   // Per-tenant results leave the service here — trim surplus levels so the
   // download is no larger than the safety band requires.
   bgv_.trim_output_inplace(out, config_.output_budget_bits);

@@ -16,13 +16,14 @@
 // A lone block is served as the one-tile case of the same calls:
 // merge_tenant_keys({key, {0}}) -> evaluate -> extract_tiles({0}).
 //
-// The affine layer runs the FULL diagonal method on a hoisted state, as one
-// Bgv::diagonal_sum: the state is decomposed once and all 2t-1 rotations are
-// served from it (key inner product, mod-down and slot permutation, no
-// decomposition work) — with hoisting, 2t shared-decomposition
-// rotations are cheaper than a baby/giant split whose giant steps would each
-// redo the decomposition. Two algebraic folds keep the circuit tile-local
-// at the depth of a one-block evaluation:
+// The affine layer runs the FULL diagonal method on a double-hoisted state,
+// as one Bgv::diagonal_sum: the state is decomposed once, each of the 2t-1
+// rotations is only a key inner product over the shared digits and a slot
+// permutation, multiplied by its diagonal before any mod-down, and each of
+// the two accumulators below takes ONE mod-down by P — with hoisting, 2t
+// shared-decomposition rotations are cheaper than a baby/giant split whose
+// giant steps would each redo the decomposition. Two algebraic folds keep
+// the circuit tile-local at the depth of a one-block evaluation:
 //
 //  * Block-local rotations. A global column rotation by k leaks across tile
 //    boundaries; the tile-local rotation decomposes as

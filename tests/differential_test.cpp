@@ -1052,6 +1052,8 @@ namespace {
 // live step's rotation from one hoisted decomposition (k = 0 is ct itself,
 // unrotated), multiplied by its weight with mul_plain_inplace and summed
 // with add_inplace. Empty weights are skipped; no live weight, no parts.
+// Each rotation is rounded by its own mod-down, so this is the noise
+// reference for the double-hoisted op, not a bit-for-bit one.
 fhe::Ciphertext reference_diagonal_sum(
     const fhe::Bgv& bgv, const fhe::Ciphertext& ct,
     const std::vector<fhe::Plaintext>& weights, const fhe::GaloisKeys& keys) {
@@ -1074,18 +1076,22 @@ fhe::Ciphertext reference_diagonal_sum(
 }
 }  // namespace
 
-// The diagonal method's one Bgv op against its composition, on every kernel
+// The diagonal method's one Bgv op, double-hoisted, on every kernel
 // backend: the affine layers' state widths (batched_test's 16 slots and
 // batched_demo's 64, every step a hoisted rotation) at levels 10, 6 and 2.
 // Four outputs per call: one including k = 0 and one without it (the
 // in-tile and wrap shapes), both with skipped entries; one whose only term
 // is k = 0; and one with no live weight, which is left empty. The outputs
-// are reused across levels, and each call must give the bits of fresh
-// outputs and of the reference, the tracked bound of
-// NoiseEstimator::fused_affine, and decrypt to the plaintext slot formula
-// sum_k w_k * rot_k(m). Last, a call whose only term is k = 0 runs no
+// are reused across levels. Each call must decrypt to the plaintext slot
+// formula sum_k w_k * rot_k(m) and give the bits of fresh outputs and of
+// the scalar backend. Its single rounding by P moves the bits away from
+// rotating, multiplying and adding, so that composition is the noise
+// reference instead: the measured budget stays within a bit of it and at
+// or above the tracked bound of NoiseEstimator::fused_affine. The k =
+// 0-only output has nothing to round (delta = 0) and keeps the bits of
+// mul_plain_inplace. Last, a call whose only term is k = 0 runs no
 // rotation, so it needs no keys.
-TEST(PlainProductDifferential, DiagonalSumMatchesRotateMultiplyAdd) {
+TEST(PlainProductDifferential, DiagonalSumMatchesSlotFormulaOnEveryBackend) {
   for (const hhe::HheConfig& config :
        {hhe::HheConfig::batched_test(), hhe::HheConfig::batched_demo()}) {
     const std::size_t s = config.pasta.state_size();
@@ -1100,6 +1106,7 @@ TEST(PlainProductDifferential, DiagonalSumMatchesRotateMultiplyAdd) {
       return k % 3 == v;
     };
     constexpr std::size_t kOutputs = 4;
+    const std::size_t kLevels[] = {10, 6, 2};
     const fhe::BatchEncoder encoder(config.bgv.n, t);
     const fhe::SlotLayout layout(config.bgv.n, t);
     Xoshiro256 rng(515151 + s);
@@ -1118,6 +1125,19 @@ TEST(PlainProductDifferential, DiagonalSumMatchesRotateMultiplyAdd) {
     }
     const auto logical_m = random_msg(rng, t, config.bgv.n);
 
+    // The scalar backend's output words (available_backends() lists it
+    // first), per level and output: plain words, since a ciphertext must not
+    // outlive the context its slabs return to.
+    const auto words = [](const fhe::Ciphertext& c) {
+      std::vector<u64> w{c.level};
+      for (const auto& part : c.parts) {
+        for (std::size_t i = 0; i < c.level; ++i) {
+          w.insert(w.end(), part.rns(i).begin(), part.rns(i).end());
+        }
+      }
+      return w;
+    };
+    std::vector<std::vector<u64>> scalar_words;
     for (const kernels::Backend* backend : kernels::available_backends()) {
       SCOPED_TRACE(backend->name());
       ExecContext exec(nullptr, backend);
@@ -1126,7 +1146,8 @@ TEST(PlainProductDifferential, DiagonalSumMatchesRotateMultiplyAdd) {
       const fhe::Ciphertext fresh_ct =
           bgv.encrypt(encoder.encode(layout.to_slots(logical_m)));
       fhe::Ciphertext reused[kOutputs];
-      for (const std::size_t level : {10, 6, 2}) {
+      for (std::size_t l = 0; l < std::size(kLevels); ++l) {
+        const std::size_t level = kLevels[l];
         SCOPED_TRACE("level " + std::to_string(level));
         fhe::Ciphertext ct = fresh_ct;
         bgv.mod_switch_to(ct, level);
@@ -1135,13 +1156,20 @@ TEST(PlainProductDifferential, DiagonalSumMatchesRotateMultiplyAdd) {
         bgv.diagonal_sum(ct, weights, keys, fresh);
         for (std::size_t v = 0; v < kOutputs; ++v) {
           SCOPED_TRACE("output " + std::to_string(v));
-          const fhe::Ciphertext ref =
-              reference_diagonal_sum(bgv, ct, weights[v], keys);
-          EXPECT_TRUE(ciphertext_bits_equal(reused[v], ref));
-          EXPECT_TRUE(ciphertext_bits_equal(fresh[v], ref));
+          EXPECT_TRUE(ciphertext_bits_equal(reused[v], fresh[v]));
+          if (backend == &kernels::scalar_backend()) {
+            scalar_words.push_back(words(reused[v]));
+          } else {
+            EXPECT_TRUE(words(reused[v]) == scalar_words[l * kOutputs + v]);
+          }
           if (v == 3) {
             EXPECT_EQ(reused[v].size(), 0u);
             continue;
+          }
+          if (v == 2) {
+            fhe::Ciphertext want = ct;
+            bgv.mul_plain_inplace(want, weights[v][0]);
+            EXPECT_TRUE(ciphertext_bits_equal(reused[v], want));
           }
           std::size_t terms = 0;
           std::vector<u64> want(config.bgv.n, 0);
@@ -1158,6 +1186,11 @@ TEST(PlainProductDifferential, DiagonalSumMatchesRotateMultiplyAdd) {
                     bgv.estimator().fused_affine(ct.noise_bits, level, terms));
           EXPECT_EQ(layout.from_slots(encoder.decode(bgv.decrypt(reused[v]))),
                     want);
+          const double measured = bgv.noise_budget_bits(reused[v]);
+          EXPECT_GE(measured, bgv.predicted_budget_bits(reused[v]));
+          const fhe::Ciphertext ref =
+              reference_diagonal_sum(bgv, ct, weights[v], keys);
+          EXPECT_GE(measured, bgv.noise_budget_bits(ref) - 1.0);
         }
       }
       // Only k = 0: a plaintext product of ct itself, no rotation keys.

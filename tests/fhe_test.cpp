@@ -536,63 +536,6 @@ TEST(BgvRotation, HoistedRotationsRunOnlyTheModDownNtts) {
   }
 }
 
-TEST(BgvRotation, BatchedHoistedRotationsMatchOneAtATime) {
-  // The span overload serves every step in one pair of fork-joins; each
-  // output must be bit-identical to the single-step call, with the same
-  // counters, at the top level (toy's truncated last group) and one level
-  // down, into outputs that held other rotations before.
-  const auto params = BgvParams::toy();
-  Bgv bgv(params);
-  BatchEncoder encoder(params.n, params.t);
-  const auto keys = bgv.make_rotation_keys({1, 3, 7});
-  auto ct = bgv.encrypt(encoder.encode(random_values(params.n, params.t, 43)));
-  const std::vector<long> steps{7, 1, 3};
-  std::vector<Ciphertext> batched(steps.size());
-  for (int drop = 0; drop < 2; ++drop) {
-    if (drop == 1) bgv.mod_switch_inplace(ct);
-    const HoistedCt hoisted = bgv.hoist(ct);
-    std::vector<Ciphertext> single(steps.size());
-    const auto s0 = bgv.rns().exec().snapshot();
-    for (std::size_t j = 0; j < steps.size(); ++j) {
-      bgv.rotate_hoisted_into(hoisted, steps[j], keys, single[j]);
-    }
-    const auto s1 = bgv.rns().exec().snapshot();
-    bgv.rotate_hoisted_into(hoisted, steps, keys, batched);
-    const auto s2 = bgv.rns().exec().snapshot();
-    const auto one_at_a_time = s1 - s0;
-    const auto at_once = s2 - s1;
-    EXPECT_EQ(at_once.ntt_forward, one_at_a_time.ntt_forward);
-    EXPECT_EQ(at_once.ntt_inverse, one_at_a_time.ntt_inverse);
-    EXPECT_EQ(at_once.key_switch, one_at_a_time.key_switch);
-    EXPECT_EQ(at_once.hoisted_rotations, one_at_a_time.hoisted_rotations);
-    EXPECT_EQ(at_once.automorphisms, one_at_a_time.automorphisms);
-    EXPECT_EQ(at_once.key_bytes_read, one_at_a_time.key_bytes_read);
-    for (std::size_t j = 0; j < steps.size(); ++j) {
-      const Ciphertext& a = batched[j];
-      const Ciphertext& b = single[j];
-      ASSERT_EQ(a.level, b.level) << "step " << steps[j];
-      ASSERT_EQ(a.parts.size(), b.parts.size());
-      EXPECT_EQ(a.noise_bits, b.noise_bits);
-      for (std::size_t p = 0; p < a.parts.size(); ++p) {
-        for (std::size_t i = 0; i < a.level; ++i) {
-          ASSERT_TRUE(std::equal(a.parts[p].rns(i).begin(),
-                                 a.parts[p].rns(i).end(),
-                                 b.parts[p].rns(i).begin()))
-              << "step " << steps[j] << " part " << p << " limb " << i
-              << " level " << a.level;
-        }
-      }
-    }
-  }
-  const HoistedCt hoisted = bgv.hoist(ct);
-  std::vector<Ciphertext> two(2);
-  EXPECT_THROW(bgv.rotate_hoisted_into(hoisted, steps, keys, two),
-               poe::Error);
-  const std::vector<long> with_zero{1, 0};
-  EXPECT_THROW(bgv.rotate_hoisted_into(hoisted, with_zero, keys, two),
-               poe::Error);
-}
-
 TEST(BgvRotation, HoistedRejectsZeroStepAndMissingKey) {
   const auto params = BgvParams::toy();
   Bgv bgv(params);
