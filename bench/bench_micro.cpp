@@ -389,7 +389,7 @@ void run_kernel_backend_comparison() {
                             }));
     rows[4].ns.emplace_back(bk->name(),
                             time_ns_per_op([&] { mod_down(*bk); }));
-    ExecContext exec(nullptr, bk);
+    ExecContext exec(bk);
     const fhe::Bgv bgv(serving.bgv, &exec);
     const auto keys =
         hhe::SimdBatchEngine::make_shared_rotation_keys(serving, bgv);

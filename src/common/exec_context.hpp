@@ -4,10 +4,12 @@
 // needs but none should own privately:
 //   * a BufferPool — recyclable flat slabs backing every RnsPoly, so a
 //     warmed-up circuit evaluation is allocation-free,
-//   * the persistent ThreadPool behind parallel_for,
+//   * the kernel backend every hot loop dispatches to,
 //   * atomic operation counters (NTTs, ct-ct multiplications, key switches,
 //     modulus switches, batch encodes) that, together with the pool's
 //     hit/miss counters, make every performance PR measurable.
+// Loops fork on the process-wide ThreadPool (parallel_for), not on a pool
+// of the context's own.
 //
 // RnsContext (and therefore Bgv, the HHE servers, and poe::Accelerator)
 // holds a pointer to an ExecContext; the process-wide ExecContext::global()
@@ -21,7 +23,6 @@
 
 #include "common/fault.hpp"
 #include "common/pool.hpp"
-#include "common/thread_pool.hpp"
 #include "kernels/backend.hpp"
 
 namespace poe {
@@ -89,16 +90,12 @@ struct OpCounters {
 
 class ExecContext {
  public:
-  /// Owns a fresh BufferPool and counters; runs loops on `threads`
-  /// (defaults to the process-wide pool — worker threads are expensive,
-  /// slabs are not). Kernel dispatch happens here, once: `backend` pins a
-  /// specific kernel backend (tests use this to compare implementations);
-  /// nullptr reads POE_KERNEL_BACKEND / probes CPUID via
-  /// kernels::select_backend().
-  explicit ExecContext(ThreadPool* threads = nullptr,
-                       const kernels::Backend* backend = nullptr)
-      : threads_(threads != nullptr ? threads : &ThreadPool::global()),
-        kernels_(backend != nullptr ? backend : &kernels::select_backend()) {}
+  /// Owns a fresh BufferPool and counters. Kernel dispatch happens here,
+  /// once: `backend` pins a specific kernel backend (tests use this to
+  /// compare implementations); nullptr reads POE_KERNEL_BACKEND / probes
+  /// CPUID via kernels::select_backend().
+  explicit ExecContext(const kernels::Backend* backend = nullptr)
+      : kernels_(backend != nullptr ? backend : &kernels::select_backend()) {}
   ExecContext(const ExecContext&) = delete;
   ExecContext& operator=(const ExecContext&) = delete;
 
@@ -108,7 +105,6 @@ class ExecContext {
 
   BufferPool& pool() { return pool_; }
   const BufferPool& pool() const { return pool_; }
-  ThreadPool& threads() { return *threads_; }
   OpCounters& counters() { return counters_; }
 
   /// The kernel backend every hot loop under this context runs on.
@@ -150,7 +146,6 @@ class ExecContext {
 
  private:
   BufferPool pool_;
-  ThreadPool* threads_;
   const kernels::Backend* kernels_;
   mutable OpCounters counters_;
   std::atomic<FaultInjector*> fault_{nullptr};

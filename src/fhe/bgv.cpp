@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "common/error.hpp"
+#include "common/parallel.hpp"
 #include "fhe/noise.hpp"
 #include "fhe/param_search.hpp"
 #include "modular/primes.hpp"
@@ -513,6 +514,7 @@ void Bgv::mod_down(HoistScratch& sc, std::size_t level,
     const ShoupConst& pinv = p_inv_[i];
     const RnsPoly* addends[2] = {target.add0, target.add1};
     for (std::size_t p = 0; p < 2; ++p) {
+      const RnsPoly* add = addends[p];
       RnsPoly& x = sc.acc[2 * j + p];
       u64* acc = x.rns(i).data();
       const auto dst = target.out->parts[p].rns(i);
@@ -520,19 +522,11 @@ void Bgv::mod_down(HoistScratch& sc, std::size_t level,
                    &special_to_q_[i * alpha_], alpha_, n, m);
       ctx_.ntt(i).forward(dst, kern);
       kern.sub(acc, dst.data(), n, m);
-      const u64* add =
-          addends[p] != nullptr ? addends[p]->rns(i).data() : nullptr;
-      if (perms[j] == nullptr) {
-        kern.mul_shoup(dst.data(), acc, n, pinv.w, pinv.w_shoup, m.value());
-        if (add != nullptr) kern.add(dst.data(), add, n, m);
-        continue;
-      }
-      kern.mul_shoup(acc, acc, n, pinv.w, pinv.w_shoup, m.value());
-      if (add != nullptr) {
-        kern.permute_add(dst.data(), add, acc, perms[j], n, m);
-      } else {
-        kern.permute(dst.data(), acc, perms[j], n);
-      }
+      // A rotation finishes in the accumulator and permutes into out.
+      u64* res = perms[j] == nullptr ? dst.data() : acc;
+      kern.mul_shoup(res, acc, n, pinv.w, pinv.w_shoup, m.value());
+      if (add != nullptr) kern.add(res, add->rns(i).data(), n, m);
+      if (perms[j] != nullptr) kern.permute(dst.data(), acc, perms[j], n);
     }
   });
   auto& counters = ctx_.exec().counters();
@@ -1001,12 +995,6 @@ void Bgv::diagonal_sum(const Ciphertext& ct,
                 steps.size() * nd * (level + alpha_) * 2 * n * sizeof(u64));
   counters.bump(counters.ntt_forward,
                 level * terms + alpha_ * switched_terms);
-  // Each step's inner product is a key switch whose output the op consumes:
-  // one kKeySwitch node per step, as the rotation it replaces recorded.
-  for (std::size_t j = 0; j < steps.size(); ++j) {
-    record_node(static_cast<std::uint8_t>(NoiseOp::kKeySwitch),
-                record_operand(ct.trace_id), -1);
-  }
   for (const std::size_t v : output_of) {
     outs[v].noise_bits = est_->fused_affine(ct.noise_bits, level, count[v]);
     outs[v].trace_id =

@@ -186,8 +186,10 @@ class Bgv {
   /// rotated ciphertext is ever written. The rounding therefore differs
   /// from rotating, multiplying and adding: the plaintext is the same, the
   /// bits are not. Each output is charged one kFusedAffine over ct with its
-  /// live term count (NoiseEstimator::fused_affine); one with no live term
-  /// is left empty. The outputs must not alias ct.
+  /// live term count (NoiseEstimator::fused_affine), whose work model also
+  /// prices the steps' inner products, so no step records a node of its
+  /// own; one with no live term is left empty. The outputs must not alias
+  /// ct.
   void diagonal_sum(const Ciphertext& ct,
                     std::span<const std::vector<Plaintext>> weights,
                     const GaloisKeys& keys, std::span<Ciphertext> outs) const;
@@ -404,8 +406,9 @@ class Bgv {
   /// (t (P/p_k))^{-1}, the first half of delta = t [x t^{-1}]_P's fast
   /// conversion. Fork 2, per (target, chain limb): delta's conversion
   /// (built in out's limb, which the finish overwrites), its forward NTT,
-  /// (x - delta) P^{-1} and the finish — one fused permute(-add) when g !=
-  /// 1, else the scaled limb written straight into out plus the addend.
+  /// (x - delta) P^{-1} and the finish: the scaled limb plus the addend,
+  /// written straight into out when g == 1, else in the accumulator and
+  /// then permuted into out.
   /// Each out's parts are reshaped in place to `level` (no pool traffic once
   /// warm). Counts the mod-downs' 2 alpha inverse and 2 level forward NTTs
   /// per target; the bound, tape node and switch counters are the caller's.

@@ -1,17 +1,25 @@
 // Runtime-dispatched kernel backends for the per-coefficient hot loops.
 //
 // Every inner loop that touches RNS coefficients — the negacyclic NTT
-// butterflies, the Barrett pointwise family, the lazy 128-bit key-switch
-// inner product with its Barrett flush, and the NTT-domain automorphism
-// permutation — lives behind this interface, in the style of ngraph's
-// runtime/{reference,...} backend split:
+// butterflies, the Barrett pointwise family and the lazy 128-bit key-switch
+// inner product with its Barrett flush — lives behind this interface, in
+// the style of ngraph's runtime/{reference,...} backend split:
 //
-//   ScalarBackend  — the original hand-written loops, moved here verbatim;
-//                    the bit-exact reference every other backend must match.
-//   Avx2Backend    — 4 lanes per op via _mm256_mul_epu32-composed 64-bit
-//                    mulhi/mullo (compiled only where -mavx2 is accepted).
-//   Avx512Backend  — 8 lanes, native 64-bit mullo/min/compares
-//                    (__AVX512DQ__ + F + VL).
+//   ScalarBackend      — the original hand-written loops, moved here
+//                        verbatim; the bit-exact reference every other
+//                        backend must match.
+//   SimdBackend<Avx2>  — 4 lanes per op via _mm256_mul_epu32-composed
+//                        64-bit mulhi/mullo (compiled only where -mavx2 is
+//                        accepted).
+//   SimdBackend<Avx512> — 8 lanes, native 64-bit mullo/min/compares
+//                        (__AVX512DQ__ + F + VL).
+//
+// The two SIMD backends are one template (simd_backend.hpp): every
+// algorithm is written once, and avx2.cpp / avx512.cpp each supply only a
+// lane type (load/store, 64-bit lane arithmetic and products, the
+// conditional subtract, the 128-bit carry and the NTT tail shuffles). The
+// NTT-domain automorphism permutation is one scalar gather shared by all
+// three (Backend::permute).
 //
 // The contract that makes dispatch safe: all public entry points take and
 // return FULLY REDUCED coefficients except where the Harvey lazy bounds are
@@ -123,7 +131,7 @@ class Backend {
   /// Loop order is an implementation detail too: the scalar reference runs
   /// slot-major (all digits of one coefficient, then the next), the SIMD
   /// backends digit-major over L1-resident blocks of coefficients so each
-  /// row streams through once (backend_impl.hpp). Only the order of the
+  /// row streams through once (simd_backend.hpp). Only the order of the
   /// same products and flushes changes, so outputs stay bit-identical.
   virtual void ksw_accumulate(std::uint64_t* dst0, std::uint64_t* dst1,
                               const std::uint64_t* const* dig,
@@ -135,21 +143,12 @@ class Backend {
                               bool acc1 = true) const = 0;
 
   /// NTT-domain automorphism slot permutation: dst[i] = src[perm[i]]
-  /// (dst and src must not alias).
-  virtual void permute(std::uint64_t* dst, const std::uint64_t* src,
-                       const std::uint32_t* perm, std::size_t n) const = 0;
-
-  /// Fused permute-and-add: dst[i] = (a[perm[i]] + b[perm[i]]) mod m, with
-  /// dst aliasing neither input. This is the whole output side of an
-  /// in-place hoisted rotation (c0 plus the flushed accumulator, permuted
-  /// once); permutes are gather-bound, so the shared scalar loop is already
-  /// the right implementation for every backend.
-  void permute_add(std::uint64_t* dst, const std::uint64_t* a,
-                   const std::uint64_t* b, const std::uint32_t* perm,
-                   std::size_t n, const mod::Modulus& m) const {
-    for (std::size_t i = 0; i < n; ++i) {
-      dst[i] = m.add(a[perm[i]], b[perm[i]]);
-    }
+  /// (dst and src must not alias). One scalar gather for every backend:
+  /// the sequential stores dominate, and hardware gathers lose to scalar
+  /// loads on this access pattern.
+  void permute(std::uint64_t* dst, const std::uint64_t* src,
+               const std::uint32_t* perm, std::size_t n) const {
+    for (std::size_t i = 0; i < n; ++i) dst[i] = src[perm[i]];
   }
 
  protected:

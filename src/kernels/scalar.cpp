@@ -2,10 +2,9 @@
 //
 // These are the original hand-written hot loops, moved here verbatim from
 // src/fhe/ntt.cpp (Harvey lazy-Shoup butterflies), src/fhe/poly.cpp (the
-// Barrett pointwise family and the automorphism slot permutation), and
-// src/fhe/bgv.cpp (the lazy 128-bit key-switch inner product). Every SIMD
-// backend is differentially tested against this one; change it only with
-// the bit-identity suite in hand.
+// Barrett pointwise family) and src/fhe/bgv.cpp (the lazy 128-bit
+// key-switch inner product). Every SIMD backend is differentially tested
+// against this one; change it only with the bit-identity suite in hand.
 #include <algorithm>
 #include <vector>
 
@@ -101,11 +100,6 @@ class ScalarBackend final : public Backend {
       dst0[idx] = m.reduce128_barrett(acc0);
       dst1[idx] = m.reduce128_barrett(acc1);
     }
-  }
-
-  void permute(u64* dst, const u64* src, const std::uint32_t* perm,
-               std::size_t n) const override {
-    for (std::size_t idx = 0; idx < n; ++idx) dst[idx] = src[perm[idx]];
   }
 
  protected:

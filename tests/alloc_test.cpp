@@ -57,7 +57,7 @@ TEST(AllocRegression, SimdBatchEngineSteadyStateIsAllocationFree) {
   const hhe::HheConfig config = hhe::HheConfig::batched_test();
   for (const kernels::Backend* backend : kernels::available_backends()) {
     SCOPED_TRACE(backend->name());
-    ExecContext exec(nullptr, backend);
+    ExecContext exec(backend);
     fhe::Bgv bgv(config.bgv, &exec);
     fhe::BatchEncoder encoder(config.bgv.n, config.bgv.t);
     fhe::SlotLayout layout(config.bgv.n, config.bgv.t);

@@ -524,7 +524,7 @@ TEST(HoistedRotationDifferential, AgreesWithUnhoistedOnEveryBackend) {
   const hhe::HheConfig config = hhe::HheConfig::test();
   for (const kernels::Backend* backend : kernels::available_backends()) {
     SCOPED_TRACE(backend->name());
-    ExecContext exec(nullptr, backend);
+    ExecContext exec(backend);
     fhe::Bgv bgv(config.bgv, &exec);
     fhe::BatchEncoder encoder(config.bgv.n, config.bgv.t);
     fhe::SlotLayout layout(config.bgv.n, config.bgv.t);
@@ -968,7 +968,7 @@ TEST(TenantKeyMergeDifferential, FusedMergeMatchesMaskThenPairwiseSum) {
 
   for (const kernels::Backend* backend : kernels::available_backends()) {
     SCOPED_TRACE(backend->name());
-    ExecContext exec(nullptr, backend);
+    ExecContext exec(backend);
     const fhe::Bgv bgv(config.bgv, &exec);
     fhe::BgvParams foreign_params = config.bgv;
     foreign_params.seed = config.bgv.seed + 17;
@@ -1140,7 +1140,7 @@ TEST(PlainProductDifferential, DiagonalSumMatchesSlotFormulaOnEveryBackend) {
     std::vector<std::vector<u64>> scalar_words;
     for (const kernels::Backend* backend : kernels::available_backends()) {
       SCOPED_TRACE(backend->name());
-      ExecContext exec(nullptr, backend);
+      ExecContext exec(backend);
       const fhe::Bgv bgv(config.bgv, &exec);
       const fhe::GaloisKeys keys = bgv.make_rotation_keys(steps);
       const fhe::Ciphertext fresh_ct =
@@ -1218,7 +1218,7 @@ TEST(PlainProductDifferential, NttWeightMatchesPlaintextWeight) {
       encoder.encode(random_msg(rng, config.bgv.t, config.bgv.n));
   for (const kernels::Backend* backend : kernels::available_backends()) {
     SCOPED_TRACE(backend->name());
-    ExecContext exec(nullptr, backend);
+    ExecContext exec(backend);
     const fhe::Bgv bgv(config.bgv, &exec);
     const fhe::RnsPoly weight_ntt = bgv.ntt_weight(weight);
     fhe::Ciphertext ct = bgv.encrypt(msg);

@@ -14,6 +14,7 @@
 #include "fhe/bgv.hpp"
 #include "fhe/ntt.hpp"
 #include "kernels/backend.hpp"
+#include "kernels/backend_impl.hpp"
 #include "modular/modulus.hpp"
 #include "modular/primes.hpp"
 #include "pasta/params.hpp"
@@ -83,6 +84,28 @@ TEST(KernelRegistry, EnvOverrideDispatch) {
     EXPECT_EQ(&picked, avx2_backend());
   } else {
     EXPECT_EQ(&picked, &scalar_backend());
+  }
+}
+
+// A SIMD backend compiled as its nullptr stub would turn every
+// differential sweep here into a silent no-op. CMake passes its
+// check_cxx_compiler_flag verdicts in: a backend the toolchain accepted
+// must be compiled in, and one the CPU supports must be available.
+TEST(KernelRegistry, CpuSupportedBackendsAreCompiledIn) {
+  const bool avx2_flags = POE_TOOLCHAIN_HAS_AVX2 != 0;
+  const bool avx512_flags = POE_TOOLCHAIN_HAS_AVX512 != 0;
+  EXPECT_EQ(detail::avx2_backend_impl() != nullptr, avx2_flags);
+  EXPECT_EQ(detail::avx512_backend_impl() != nullptr, avx512_flags);
+  if (__builtin_cpu_supports("avx2")) {
+    EXPECT_NE(avx2_backend(), nullptr)
+        << "the CPU has AVX2 but the build compiled the AVX2 stub "
+        << "(toolchain accepts -mavx2: " << avx2_flags << ")";
+  }
+  if (__builtin_cpu_supports("avx512f") && __builtin_cpu_supports("avx512dq") &&
+      __builtin_cpu_supports("avx512vl")) {
+    EXPECT_NE(avx512_backend(), nullptr)
+        << "the CPU has AVX-512 F/DQ/VL but the build compiled the AVX-512 "
+        << "stub (toolchain accepts the flags: " << avx512_flags << ")";
   }
 }
 
@@ -486,35 +509,6 @@ TEST(KernelKsw, BlockBoundariesAndTailsInEverySeedMode) {
   }
 }
 
-TEST(KernelPermute, PermuteAddBitIdentity) {
-  // permute_add fuses the closing automorphism of a hoisted rotation with
-  // the c0 addition: dst[i] = a[perm[i]] + b[perm[i]] mod q.
-  Xoshiro256 rng(108);
-  for (const u64 q : test_moduli(16)) {
-    const Modulus m(q);
-    for (const std::size_t n : {8u, 33u, 1024u}) {
-      std::vector<u64> a(n), b(n);
-      for (std::size_t i = 0; i < n; ++i) {
-        a[i] = rng.below(q);
-        b[i] = rng.below(q);
-      }
-      std::vector<u32> perm(n);
-      std::iota(perm.begin(), perm.end(), 0u);
-      for (std::size_t i = n; i > 1; --i) {
-        std::swap(perm[i - 1], perm[rng.below(i)]);
-      }
-      for (const Backend* be : available_backends()) {
-        std::vector<u64> got(n);
-        be->permute_add(got.data(), a.data(), b.data(), perm.data(), n, m);
-        for (std::size_t i = 0; i < n; ++i) {
-          ASSERT_EQ(got[i], (a[perm[i]] + b[perm[i]]) % q)
-              << be->name() << " n=" << n << " i=" << i;
-        }
-      }
-    }
-  }
-}
-
 TEST(KernelPermute, BitIdentity) {
   Xoshiro256 rng(106);
   for (const std::size_t n : {8u, 33u, 4096u}) {
@@ -563,7 +557,7 @@ TEST(KernelEndToEnd, BgvCiphertextsBitIdenticalAcrossBackends) {
   if (simd.empty()) GTEST_SKIP() << "no SIMD backend on this host";
 
   const auto params = fhe::BgvParams::toy();
-  ExecContext scalar_exec(nullptr, &scalar_backend());
+  ExecContext scalar_exec(&scalar_backend());
   const fhe::Bgv ref(params, &scalar_exec);
 
   fhe::Plaintext pt;
@@ -605,7 +599,7 @@ TEST(KernelEndToEnd, BgvCiphertextsBitIdenticalAcrossBackends) {
   };
 
   for (const Backend* b : simd) {
-    ExecContext exec(nullptr, b);
+    ExecContext exec(b);
     const fhe::Bgv bgv(params, &exec);  // same seed => same keys
     const auto ct = bgv.encrypt(pt);
     expect_bits(ct, ref_ct, "encrypt", b->name());

@@ -190,6 +190,34 @@ TEST(Simulate, CheckedInParamsAreFeasible) {
   EXPECT_FALSE(bad.feasible);
 }
 
+// Every recorded node must be an output or some node's operand: the replay
+// charges each node's work and schedules switches on it, so a node nothing
+// consumes prices an op whose result the circuit never uses (such as a key
+// switch per rotation that a double-hoisted affine layer no longer runs).
+TEST(Simulate, BatchedTapesHaveNoUnconsumedNodes) {
+  for (const hhe::HheConfig& config :
+       {hhe::HheConfig::batched_test(), hhe::HheConfig::batched_demo()}) {
+    const CircuitProfile profile = hhe::record_batched_profile(config);
+    std::vector<bool> consumed(profile.tape.size(), false);
+    for (const std::int32_t out : profile.outputs) {
+      consumed.at(static_cast<std::size_t>(out)) = true;
+    }
+    for (const TapeNode& node : profile.tape) {
+      for (const std::int32_t operand : {node.a, node.b}) {
+        if (operand >= 0) consumed.at(static_cast<std::size_t>(operand)) = true;
+      }
+    }
+    std::vector<std::size_t> idle;
+    for (std::size_t i = 0; i < consumed.size(); ++i) {
+      if (!consumed[i]) idle.push_back(i);
+    }
+    EXPECT_TRUE(idle.empty())
+        << profile.name << ": " << idle.size() << " of " << consumed.size()
+        << " nodes have no consumer, the first node " << idle.front()
+        << " (op " << static_cast<int>(profile.tape[idle.front()].op) << ")";
+  }
+}
+
 // The fixed point that pins protocol.cpp: recording the circuits under the
 // checked-in configs and re-running the search must reproduce exactly the
 // BgvParams of HheConfig::test() / batched_test(). If this fails, either
