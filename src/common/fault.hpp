@@ -14,7 +14,7 @@
 //
 // Naming convention for sites: <layer>.<point>[.<aspect>], e.g.
 //   pool.acquire            allocation of a polynomial slab
-//   fhe.hoist.scratch.alloc_fail  lease of a key-switch scratch pair
+//   fhe.hoist.scratch.alloc_fail  draw of a key switch's scratch slabs
 //   service.prepare         the service's batch-preparation stage
 //   service.prepare.stall   virtual-time stall charged to that stage
 //   service.evaluate        the BGV evaluation stage

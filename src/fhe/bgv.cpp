@@ -411,69 +411,21 @@ HoistedCt Bgv::hoist(const Ciphertext& ct) const {
   return decompose(ct.parts[0], ct.parts[1], ct);
 }
 
-Bgv::HoistScratch& Bgv::lease_hoist_scratch() const {
+std::vector<RnsPoly> Bgv::key_slabs(std::size_t count) const {
   // Chaos site: simulated scratch-acquisition failure, typed like any other
   // allocation fault so the service retry path absorbs it organically.
   fault_point(ctx_.exec(), "fhe.hoist.scratch.alloc_fail");
-  std::lock_guard<std::mutex> lock(hoist_mu_);
-  for (auto& sc : hoist_scratch_) {
-    bool expected = false;
-    if (sc->in_use.compare_exchange_strong(expected, true,
-                                           std::memory_order_acq_rel)) {
-      return *sc;
-    }
+  std::vector<RnsPoly> slabs;
+  slabs.reserve(count);
+  for (std::size_t k = 0; k < count; ++k) {
+    slabs.push_back(
+        RnsPoly::uninit(&key_ctx_, key_ctx_.num_primes(), /*ntt_form=*/true));
   }
-  hoist_scratch_.push_back(std::make_unique<HoistScratch>());
-  HoistScratch& sc = *hoist_scratch_.back();
-  sc.in_use.store(true, std::memory_order_release);
-  return sc;
-}
-
-void Bgv::release_hoist_scratch(HoistScratch& sc) const noexcept {
-  const bool was_leased = sc.in_use.exchange(false, std::memory_order_acq_rel);
-  POE_DCHECK(was_leased, "HoistScratch released without a lease");
-  (void)was_leased;
-}
-
-/// RAII lease over one HoistScratch. In debug builds the `active` counter
-/// doubles as a concurrent-aliasing detector: if two workers ever operate
-/// on the same scratch (a bug in the lease discipline), the second entrant
-/// observes a nonzero count and fails loudly instead of corrupting both
-/// key switches silently.
-class Bgv::ScratchLease {
- public:
-  explicit ScratchLease(const Bgv& bgv)
-      : bgv_(bgv), sc_(&bgv.lease_hoist_scratch()) {
-#ifndef NDEBUG
-    const int prev = sc_->active.fetch_add(1, std::memory_order_acq_rel);
-    POE_DCHECK(prev == 0, "HoistScratch aliased by two concurrent workers");
-#endif
-  }
-  ScratchLease(const ScratchLease&) = delete;
-  ScratchLease& operator=(const ScratchLease&) = delete;
-  ~ScratchLease() {
-#ifndef NDEBUG
-    sc_->active.fetch_sub(1, std::memory_order_acq_rel);
-#endif
-    bgv_.release_hoist_scratch(*sc_);
-  }
-  HoistScratch& operator*() const { return *sc_; }
-
- private:
-  const Bgv& bgv_;
-  HoistScratch* sc_;
-};
-
-void Bgv::reshape_scratch(HoistScratch& sc, std::size_t polys) const {
-  if (sc.acc.size() < polys) sc.acc.resize(polys);
-  for (std::size_t k = 0; k < polys; ++k) {
-    sc.acc[k].reshape_uninit(&key_ctx_, key_ctx_.num_primes(),
-                             /*ntt_form=*/true);
-  }
+  return slabs;
 }
 
 template <class Fill>
-void Bgv::mod_down(HoistScratch& sc, std::size_t level,
+void Bgv::mod_down(std::span<RnsPoly> acc, std::size_t level,
                    std::span<const DownTarget> targets, Fill&& fill) const {
   const std::size_t n = ctx_.n();
   const std::size_t top = ctx_.num_primes();
@@ -499,7 +451,7 @@ void Bgv::mod_down(HoistScratch& sc, std::size_t level,
     if (r < level) return;
     const ShoupConst& w = special_scale_[r - level];
     for (std::size_t k = 0; k < 2 * count; ++k) {
-      auto x = sc.acc[k].rns(i);
+      auto x = acc[k].rns(i);
       key_ctx_.ntt(i).inverse(x, kern);
       kern.mul_shoup(x.data(), x.data(), n, w.w, w.w_shoup,
                      key_ctx_.prime(i));
@@ -515,18 +467,18 @@ void Bgv::mod_down(HoistScratch& sc, std::size_t level,
     const RnsPoly* addends[2] = {target.add0, target.add1};
     for (std::size_t p = 0; p < 2; ++p) {
       const RnsPoly* add = addends[p];
-      RnsPoly& x = sc.acc[2 * j + p];
-      u64* acc = x.rns(i).data();
+      RnsPoly& x = acc[2 * j + p];
+      u64* xi = x.rns(i).data();
       const auto dst = target.out->parts[p].rns(i);
       convert_limb(kern, dst.data(), x.rns(top).data(),
                    &special_to_q_[i * alpha_], alpha_, n, m);
       ctx_.ntt(i).forward(dst, kern);
-      kern.sub(acc, dst.data(), n, m);
+      kern.sub(xi, dst.data(), n, m);
       // A rotation finishes in the accumulator and permutes into out.
-      u64* res = perms[j] == nullptr ? dst.data() : acc;
-      kern.mul_shoup(res, acc, n, pinv.w, pinv.w_shoup, m.value());
+      u64* res = perms[j] == nullptr ? dst.data() : xi;
+      kern.mul_shoup(res, xi, n, pinv.w, pinv.w_shoup, m.value());
       if (add != nullptr) kern.add(res, add->rns(i).data(), n, m);
-      if (perms[j] != nullptr) kern.permute(dst.data(), acc, perms[j], n);
+      if (perms[j] != nullptr) kern.permute(dst.data(), xi, perms[j], n);
     }
   });
   auto& counters = ctx_.exec().counters();
@@ -545,22 +497,20 @@ void Bgv::key_switch(const HoistedCt& h, const RnsPoly* c1, const KswKey& key,
   counters.bump(counters.key_bytes_read,
                 nd * (level + alpha_) * 2 * n * sizeof(u64));
   if (g != 1) counters.bump(counters.automorphism);
-  ScratchLease lease(*this);
-  HoistScratch& sc = *lease;
-  reshape_scratch(sc, 2);
+  std::vector<RnsPoly> acc = key_slabs(2);
   const auto& kern = ctx_.exec().kernels();
   // The inner product runs on the unpermuted digits against keys stored
   // tau^-1-permuted (make_galois_key); the finish applies tau once per
   // output limb.
   const DownTarget target{&out, &h.c0, c1, g};
-  mod_down(sc, level, std::span(&target, 1), [&](std::size_t i) {
+  mod_down(acc, level, std::span(&target, 1), [&](std::size_t i) {
     std::vector<const u64*> dig(nd), kb(nd), ka(nd);
     for (std::size_t w = 0; w < nd; ++w) {
       dig[w] = h.digits[w].rns(i).data();
       kb[w] = key.rows[w].b.rns(i).data();
       ka[w] = key.rows[w].a.rns(i).data();
     }
-    kern.ksw_accumulate(sc.acc[0].rns(i).data(), sc.acc[1].rns(i).data(),
+    kern.ksw_accumulate(acc[0].rns(i).data(), acc[1].rns(i).data(),
                         dig.data(), kb.data(), ka.data(), nd, n, nullptr,
                         key_ctx_.mod(i), /*acc0=*/false, /*acc1=*/false);
   });
@@ -924,9 +874,7 @@ void Bgv::diagonal_sum(const Ciphertext& ct,
   // Per-limb temporaries after the accumulator pairs: the inner product,
   // its permutation, the lifted diagonal and P * c0.
   enum { kIp0, kIp1, kRot0, kRot1, kWeight, kPc0, kTemps };
-  ScratchLease lease(*this);
-  HoistScratch& sc = *lease;
-  reshape_scratch(sc, 2 * pairs + kTemps);
+  std::vector<RnsPoly> acc = key_slabs(2 * pairs + kTemps);
   const auto& kern = ctx_.exec().kernels();
   // Per limb i of Q_l u P, output v's accumulator pair is
   //   sum_{k >= 1} d_k * tau_k(ip_k + (P c0, 0)) + P d_0 ct,
@@ -934,11 +882,11 @@ void Bgv::diagonal_sum(const Ciphertext& ct,
   // The P multiples vanish on the special limbs, so the mod-down's delta
   // sees only the switched terms and (x + P y - delta) / P = (x - delta) /
   // P + y: the output is the rotate-multiply-add sum, rounded once.
-  mod_down(sc, level, targets, [&](std::size_t i) {
+  mod_down(acc, level, targets, [&](std::size_t i) {
     const bool chain = i < level;
     const auto& m = key_ctx_.mod(i);
     const auto temp = [&](std::size_t which) {
-      return sc.acc[2 * pairs + which].rns(i).data();
+      return acc[2 * pairs + which].rns(i).data();
     };
     u64* w = temp(kWeight);
     const auto lift = [&](const Plaintext& pt) {
@@ -946,7 +894,7 @@ void Bgv::diagonal_sum(const Ciphertext& ct,
       key_ctx_.ntt(i).forward({w, n}, kern);
     };
     for (std::size_t x = 0; x < 2 * pairs; ++x) {
-      std::fill_n(sc.acc[x].rns(i).data(), n, u64{0});
+      std::fill_n(acc[x].rns(i).data(), n, u64{0});
     }
     if (chain) {
       const ShoupConst& p = p_mod_q_[i];
@@ -956,7 +904,7 @@ void Bgv::diagonal_sum(const Ciphertext& ct,
         lift(weights[v][0]);
         kern.mul_shoup(w, w, n, p.w, p.w_shoup, m.value());
         for (std::size_t q = 0; q < 2; ++q) {
-          kern.add_mul(sc.acc[2 * j + q].rns(i).data(),
+          kern.add_mul(acc[2 * j + q].rns(i).data(),
                        ct.parts[q].rns(i).data(), w, n, m);
         }
       }
@@ -982,8 +930,8 @@ void Bgv::diagonal_sum(const Ciphertext& ct,
         const std::size_t v = output_of[j];
         if (!live(v, step.k)) continue;
         lift(weights[v][step.k]);
-        kern.add_mul(sc.acc[2 * j].rns(i).data(), temp(kRot0), w, n, m);
-        kern.add_mul(sc.acc[2 * j + 1].rns(i).data(), temp(kRot1), w, n, m);
+        kern.add_mul(acc[2 * j].rns(i).data(), temp(kRot0), w, n, m);
+        kern.add_mul(acc[2 * j + 1].rns(i).data(), temp(kRot1), w, n, m);
       }
     }
   });

@@ -31,7 +31,6 @@
 #include <cstdint>
 #include <map>
 #include <memory>
-#include <mutex>
 #include <span>
 #include <vector>
 
@@ -221,15 +220,15 @@ class Bgv {
   HoistedCt hoist(const Ciphertext& ct) const;
   /// Rotation by `step` (!= 0 mod n/2) from a hoisted decomposition, written
   /// into `out`: a key inner product over the shared digits, in overwrite
-  /// mode into a leased per-evaluator HoistScratch, the mod-down by P, then
-  /// the closing automorphism as a fused permute(-add) straight into out's
-  /// slabs, which are reshaped in place. No decomposition work: the only
-  /// NTTs are the mod-down's (2 alpha inverse, 2 level forward), and a
-  /// warmed-up diagonal loop touches the pool zero times and copies zero
-  /// bytes. The result depends only on (hoisted, step, keys): a reused
-  /// `out` ends up bit-identical to a freshly allocated one. `out` may be
-  /// empty or any previous result; it must not alias a live operand.
-  /// Thread-safe: concurrent callers lease distinct scratches.
+  /// mode into two key-basis slabs drawn from the pool for this call, the
+  /// mod-down by P, then the closing automorphism as a permute straight
+  /// into out's slabs, which are reshaped in place. No decomposition work:
+  /// the only NTTs are the mod-down's (2 alpha inverse, 2 level forward),
+  /// and a warmed-up loop never misses the pool and copies zero bytes. The
+  /// result depends only on (hoisted, step, keys): a reused `out` ends up
+  /// bit-identical to a freshly allocated one. `out` may be empty or any
+  /// previous result; it must not alias a live operand. Thread-safe: every
+  /// call draws its own slabs.
   void rotate_hoisted_into(const HoistedCt& hoisted, long step,
                            const GaloisKeys& keys, Ciphertext& out) const;
 
@@ -364,32 +363,20 @@ class Bgv {
   /// Q_l u P, then the mod-down and the finish
   ///   out = tau_g(h.c0 + ip_b / P, c1 + ip_a / P),
   /// with c1 == nullptr read as zero (g = 1 for relinearisation and
-  /// ingest). The kernel inner product flushes into a leased HoistScratch
-  /// in overwrite mode, one task per key-basis limb of the mod-down's first
-  /// fork. The result depends only on (h, c1, key, g); `out` may not alias
-  /// h.c0 or *c1. Also sets out's noise bound and tape node, and counts
-  /// the switch.
+  /// ingest). The kernel inner product flushes into an accumulator pair of
+  /// key_slabs in overwrite mode, one task per key-basis limb of the
+  /// mod-down's first fork. The result depends only on (h, c1, key, g);
+  /// `out` may not alias h.c0 or *c1. Also sets out's noise bound and tape
+  /// node, and counts the switch.
   void key_switch(const HoistedCt& h, const RnsPoly* c1, const KswKey& key,
                   std::uint64_t g, Ciphertext& out) const;
 
-  /// Reusable key-switch scratch over the key basis: accumulator pairs
-  /// acc[2j], acc[2j + 1] (one per mod-down target j), which the mod-down
-  /// turns into the switched limbs in place, then diagonal_sum's per-limb
-  /// temporaries. Each task of a fork writes only its own limb. Leased
-  /// (never shared) per switch or affine layer; the bank grows to the peak
-  /// number of concurrent leases, then stops touching the pool.
-  struct HoistScratch {
-    std::vector<RnsPoly> acc;
-    std::atomic<bool> in_use{false};
-#ifndef NDEBUG
-    std::atomic<int> active{0};  ///< concurrent-aliasing detector
-#endif
-  };
-  class ScratchLease;
-  HoistScratch& lease_hoist_scratch() const;
-  void release_hoist_scratch(HoistScratch& sc) const noexcept;
-  /// acc[0..polys) reshaped over the key basis, uninitialised.
-  void reshape_scratch(HoistScratch& sc, std::size_t polys) const;
+  /// `count` uninitialised slabs over the whole key basis, drawn from the
+  /// pool on the calling thread before a fork: a switch's accumulator
+  /// pairs, then diagonal_sum's per-limb temporaries. Each task of the fork
+  /// writes only its own limb of them; they go back to the pool when the
+  /// caller returns.
+  std::vector<RnsPoly> key_slabs(std::size_t count) const;
 
   /// Where one accumulator pair goes after the mod-down: out = tau_g(add0 +
   /// x0 / P, add1 + x1 / P), an absent addend read as zero.
@@ -400,21 +387,21 @@ class Bgv {
     std::uint64_t g = 1;
   };
   /// The one mod-down every switch and every diagonal sum closes with, over
-  /// accumulator pairs sc.acc[2j], sc.acc[2j + 1] on Q_l u P (one per
-  /// target j). Fork 1, per limb i of Q_l u P: fill(i) writes limb i of
-  /// every pair; on a special limb the pairs then leave NTT form scaled by
-  /// (t (P/p_k))^{-1}, the first half of delta = t [x t^{-1}]_P's fast
-  /// conversion. Fork 2, per (target, chain limb): delta's conversion
-  /// (built in out's limb, which the finish overwrites), its forward NTT,
-  /// (x - delta) P^{-1} and the finish: the scaled limb plus the addend,
-  /// written straight into out when g == 1, else in the accumulator and
-  /// then permuted into out.
+  /// accumulator pairs acc[2j], acc[2j + 1] on Q_l u P (one per target j),
+  /// which it turns into the switched limbs in place. Fork 1, per limb i of
+  /// Q_l u P: fill(i) writes limb i of every pair; on a special limb the
+  /// pairs then leave NTT form scaled by (t (P/p_k))^{-1}, the first half of
+  /// delta = t [x t^{-1}]_P's fast conversion. Fork 2, per (target, chain
+  /// limb): delta's conversion (built in out's limb, which the finish
+  /// overwrites), its forward NTT, (x - delta) P^{-1} and the finish: the
+  /// scaled limb plus the addend, written straight into out when g == 1,
+  /// else in the accumulator and then permuted into out.
   /// Each out's parts are reshaped in place to `level` (no pool traffic once
   /// warm). Counts the mod-downs' 2 alpha inverse and 2 level forward NTTs
   /// per target; the bound, tape node and switch counters are the caller's.
   /// No out may alias an addend or another target's out.
   template <class Fill>
-  void mod_down(HoistScratch& sc, std::size_t level,
+  void mod_down(std::span<RnsPoly> acc, std::size_t level,
                 std::span<const DownTarget> targets, Fill&& fill) const;
 
   /// A constant w < q with its Shoup companion floor(w 2^64 / q).
@@ -457,8 +444,6 @@ class Bgv {
   RnsPoly pk_a_;     // NTT
   RnsPoly pk_b_;
   KswKey rlk_;
-  mutable std::mutex hoist_mu_;  // guards the scratch bank's vector only
-  mutable std::vector<std::unique_ptr<HoistScratch>> hoist_scratch_;
   /// Active circuit-profile recorder (nullptr = off). Atomic so the
   /// parallel_for server loops read it without tearing; appends themselves
   /// are serialized inside NoiseTape.

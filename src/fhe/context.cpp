@@ -1,7 +1,5 @@
 #include "fhe/context.hpp"
 
-#include <unordered_map>
-
 #include "common/error.hpp"
 #include "modular/primes.hpp"
 
@@ -65,31 +63,11 @@ const LevelData& RnsContext::level(std::size_t num_active) const {
 }
 
 void RnsContext::build_exponent_table() const {
-  // Forward-transform the monomial X in the first RNS component: slot i then
-  // holds psi^{e_i}, the root the butterflies routed there. The exponent map
-  // is structural — it depends only on n and the bit-reversed butterfly
-  // schedule — so discovering it against prime 0 is valid for every
-  // component.
-  std::vector<std::uint64_t> x(n_, 0);
-  x[1] = 1;
-  ntts_[0]->forward(x);
-  const mod::Modulus& m = mods_[0];
-  const std::uint64_t psi = mod::root_of_unity(primes_[0], 2 * n_);
-  std::unordered_map<std::uint64_t, std::uint32_t> dlog;
-  dlog.reserve(2 * n_);
-  std::uint64_t pw = 1;
-  for (std::uint32_t e = 0; e < 2 * n_; ++e) {
-    dlog.emplace(pw, e);
-    pw = m.mul(pw, psi);
-  }
-  ntt_exponent_.resize(n_);
+  // The exponent map is structural, so prime 0's serves every component.
+  ntt_exponent_ = ntts_[0]->slot_exponents();
   index_of_exponent_.assign(2 * n_, 0);
   for (std::size_t i = 0; i < n_; ++i) {
-    const auto it = dlog.find(x[i]);
-    POE_ENSURE(it != dlog.end() && it->second % 2 == 1,
-               "NTT slot value is not an odd power of psi");
-    ntt_exponent_[i] = it->second;
-    index_of_exponent_[it->second] = static_cast<std::uint32_t>(i);
+    index_of_exponent_[ntt_exponent_[i]] = static_cast<std::uint32_t>(i);
   }
 }
 

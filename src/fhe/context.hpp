@@ -66,10 +66,9 @@ class RnsContext {
   std::span<const std::uint32_t> galois_ntt_perm(std::uint64_t g) const;
 
  private:
-  /// Maps NTT slot i to the exponent e_i with slot value f(psi^{e_i});
-  /// discovered empirically by transforming the monomial X and taking
-  /// discrete logs base psi (the same trick SlotLayout uses for the
-  /// plaintext slot order). Caller must hold perm_mu_.
+  /// Maps NTT slot i to the exponent e_i with slot value f(psi^{e_i})
+  /// (Ntt::slot_exponents, which SlotLayout also reads for the plaintext
+  /// slot order) and back. Caller must hold perm_mu_.
   void build_exponent_table() const;
 
   ExecContext* exec_;

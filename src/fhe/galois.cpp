@@ -1,38 +1,15 @@
 #include "fhe/galois.hpp"
 
-#include <unordered_map>
-
 #include "common/error.hpp"
-#include "modular/primes.hpp"
 
 namespace poe::fhe {
 
 SlotLayout::SlotLayout(std::size_t n, std::uint64_t t) : n_(n) {
   POE_ENSURE((t - 1) % (2 * n) == 0, "t must be ≡ 1 (mod 2n)");
-  // Decode the monomial X: slot i holds psi^{e_i}. Recover e_i by discrete
-  // log against a table of psi powers.
-  BatchEncoder encoder(n, t);
-  Plaintext x;
-  x.coeffs.assign(n, 0);
-  x.coeffs[1] = 1;
-  const auto slot_values = encoder.decode(x);
-
-  const mod::Modulus mt(t);
-  const std::uint64_t psi = mod::root_of_unity(t, 2 * n);
-  std::unordered_map<std::uint64_t, std::uint64_t> dlog;
-  std::uint64_t pw = 1;
-  for (std::uint64_t e = 0; e < 2 * n; ++e) {
-    dlog.emplace(pw, e);
-    pw = mt.mul(pw, psi);
-  }
-  // exponent -> slot index
+  // BatchEncoder's slots are its Ntt(t, n)'s: slot i holds psi^{e_i}.
+  const std::vector<std::uint32_t> exponents = Ntt(t, n).slot_exponents();
   std::vector<std::size_t> slot_of_exponent(2 * n, SIZE_MAX);
-  for (std::size_t i = 0; i < n; ++i) {
-    const auto it = dlog.find(slot_values[i]);
-    POE_ENSURE(it != dlog.end(), "slot value is not a root power");
-    POE_ENSURE((it->second & 1) == 1, "slot exponent must be odd");
-    slot_of_exponent[it->second] = i;
-  }
+  for (std::size_t i = 0; i < n; ++i) slot_of_exponent[exponents[i]] = i;
 
   // Orbit coordinates: (row 0, col j) -> exponent 3^j; (row 1, col j) ->
   // exponent -3^j (mod 2n).

@@ -1,5 +1,7 @@
 #include "fhe/ntt.hpp"
 
+#include <unordered_map>
+
 #include "common/bits.hpp"
 #include "common/error.hpp"
 #include "modular/primes.hpp"
@@ -69,6 +71,28 @@ void Ntt::forward(std::span<std::uint64_t> a) const {
 
 void Ntt::inverse(std::span<std::uint64_t> a) const {
   inverse(a, kernels::default_backend());
+}
+
+std::vector<std::uint32_t> Ntt::slot_exponents() const {
+  std::vector<std::uint64_t> x(n_, 0);
+  x[1] = 1;
+  forward(x);
+  const std::uint64_t psi = mod::root_of_unity(mod_.value(), 2 * n_);
+  std::unordered_map<std::uint64_t, std::uint32_t> dlog;
+  dlog.reserve(2 * n_);
+  std::uint64_t pw = 1;
+  for (std::uint32_t e = 0; e < 2 * n_; ++e) {
+    dlog.emplace(pw, e);
+    pw = mod_.mul(pw, psi);
+  }
+  std::vector<std::uint32_t> exponents(n_);
+  for (std::size_t i = 0; i < n_; ++i) {
+    const auto it = dlog.find(x[i]);
+    POE_ENSURE(it != dlog.end() && it->second % 2 == 1,
+               "NTT slot value is not an odd power of psi");
+    exponents[i] = it->second;
+  }
+  return exponents;
 }
 
 std::vector<std::uint64_t> Ntt::multiply(

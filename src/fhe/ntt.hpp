@@ -39,6 +39,13 @@ class Ntt {
   std::size_t n() const { return n_; }
   const mod::Modulus& modulus() const { return mod_; }
 
+  /// The exponent e_i of the root each slot evaluates at: forward() leaves
+  /// f(psi^{e_i}) in slot i, psi = root_of_unity(q, 2n). Found by
+  /// transforming the monomial X and taking discrete logs base psi; every
+  /// e_i is odd. The map depends only on n and the bit-reversed butterfly
+  /// schedule, so every Ntt of one degree returns the same one.
+  std::vector<std::uint32_t> slot_exponents() const;
+
   /// Negacyclic convolution via NTT (test/diagnostic convenience).
   std::vector<std::uint64_t> multiply(std::span<const std::uint64_t> a,
                                       std::span<const std::uint64_t> b) const;

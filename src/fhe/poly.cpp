@@ -50,9 +50,9 @@ RnsPoly& RnsPoly::reshape_uninit(const RnsContext* ctx, std::size_t level,
   POE_ENSURE(ctx != nullptr, "null context");
   POE_ENSURE(level >= 1 && level <= ctx->num_primes(), "bad level " << level);
   const std::size_t words = level * ctx->n();
-  // Same slab-reuse rule as copy assignment: an already-leased slab big
-  // enough for the request never goes back to the pool, so a warmed
-  // scratch poly reshapes with zero pool traffic.
+  // Same slab-reuse rule as copy assignment: a slab this poly already
+  // holds that is big enough for the request never goes back to the pool,
+  // so a warmed output poly reshapes with zero pool traffic.
   if (ctx_ != ctx || buf_.size() < words) {
     buf_ = ctx->exec().pool().acquire(words, /*zero=*/false);
   }

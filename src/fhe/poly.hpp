@@ -103,9 +103,9 @@ class RnsPoly {
 
   /// Re-point this poly at (ctx, level, ntt_form) with UNINITIALISED
   /// contents, reusing the current slab whenever it is big enough (the
-  /// copy-assignment rule). The backbone of per-context rotation scratch:
-  /// after one warm-up pass at a level, reshaping at that level or below
-  /// touches the pool zero times. Every word must be written before read.
+  /// copy-assignment rule). The backbone of reused rotation outputs: after
+  /// one warm-up pass at a level, reshaping at that level or below touches
+  /// the pool zero times. Every word must be written before read.
   RnsPoly& reshape_uninit(const RnsContext* ctx, std::size_t level,
                           bool ntt_form);
 

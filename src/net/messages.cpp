@@ -1,5 +1,7 @@
 #include "net/messages.hpp"
 
+#include <bit>
+
 namespace poe::net {
 
 namespace {
@@ -51,18 +53,8 @@ service::FaultStats get_fault_stats(WireReader& r) {
   return f;
 }
 
-std::uint64_t double_bits(double v) {
-  std::uint64_t bits;
-  static_assert(sizeof(bits) == sizeof(v));
-  __builtin_memcpy(&bits, &v, sizeof(bits));
-  return bits;
-}
-
-double bits_double(std::uint64_t bits) {
-  double v;
-  __builtin_memcpy(&v, &bits, sizeof(v));
-  return v;
-}
+constexpr std::uint32_t kSessionMagic = 0x31534553;  // "SES1"
+constexpr std::uint16_t kSessionVersion = 1;
 }  // namespace
 
 std::vector<std::uint8_t> encode_onboard_key(const OnboardKeyMsg& m) {
@@ -129,6 +121,51 @@ KeyStateMsg decode_key_state(std::span<const std::uint8_t> payload) {
   return m;
 }
 
+std::vector<std::uint8_t> encode_session_state(
+    const service::SessionState& state) {
+  WireWriter w;
+  w.u32(kSessionMagic);
+  w.u16(kSessionVersion);
+  w.u16(state.has_key ? 1 : 0);
+  w.u64(state.client_id);
+  w.u64(state.requests_served);
+  w.u64(state.blocks_served);
+  POE_ENSURE(state.nonces.size() <= UINT32_MAX, "nonce window too large");
+  w.u32(static_cast<std::uint32_t>(state.nonces.size()));
+  for (const std::uint64_t nonce : state.nonces) w.u64(nonce);
+  if (state.has_key) w.blob(state.key_bytes);
+  return w.take();
+}
+
+service::SessionState decode_session_state(
+    std::span<const std::uint8_t> payload) {
+  WireReader r(payload);
+  if (r.u32() != kSessionMagic) throw WireError("bad session-state magic");
+  const std::uint16_t version = r.u16();
+  if (version != kSessionVersion) {
+    throw WireError("unsupported session-state version " +
+                    std::to_string(version));
+  }
+  const std::uint16_t flags = r.u16();
+  if ((flags & ~1u) != 0) throw WireError("unknown session-state flags");
+  service::SessionState state;
+  state.has_key = (flags & 1u) != 0;
+  state.client_id = r.u64();
+  state.requests_served = r.u64();
+  state.blocks_served = r.u64();
+  const std::uint32_t nonce_count = checked_count(r, 8, "nonce");
+  state.nonces.reserve(nonce_count);
+  for (std::uint32_t i = 0; i < nonce_count; ++i) {
+    state.nonces.push_back(r.u64());
+  }
+  if (state.has_key) {
+    auto key = r.blob();
+    state.key_bytes.assign(key.begin(), key.end());
+  }
+  r.expect_done("session_state");
+  return state;
+}
+
 std::vector<std::uint8_t> encode_process_batch(const ProcessBatchMsg& m) {
   WireWriter w;
   POE_ENSURE(m.requests.size() <= UINT32_MAX, "too many requests");
@@ -189,9 +226,8 @@ std::vector<std::uint8_t> encode_process_result(const ProcessResultMsg& m) {
   w.u64(m.report.requests);
   w.u64(m.report.blocks);
   w.u64(m.report.batches);
-  w.u64(m.report.cross_tenant_batches);
   put_fault_stats(w, m.report.faults);
-  w.u64(double_bits(m.stall_s));
+  w.u64(std::bit_cast<std::uint64_t>(m.stall_s));
   return w.take();
 }
 
@@ -239,9 +275,8 @@ ProcessResultMsg decode_process_result(std::span<const std::uint8_t> payload) {
   m.report.requests = r.u64();
   m.report.blocks = r.u64();
   m.report.batches = r.u64();
-  m.report.cross_tenant_batches = r.u64();
   m.report.faults = get_fault_stats(r);
-  m.stall_s = bits_double(r.u64());
+  m.stall_s = std::bit_cast<double>(r.u64());
   r.expect_done("process_result");
   return m;
 }

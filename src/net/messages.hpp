@@ -42,6 +42,15 @@ struct KeyStateMsg {
   std::vector<std::uint8_t> key_bytes;
 };
 
+/// kInstallSession, and each of ProcessResultMsg::session_updates: a
+/// SessionState in its versioned wire form ("SES1" magic, u16 version 1,
+/// u16 flags with bit 0 = has_key, the client id and serving stats, the
+/// nonce window, then enc(K) as a blob when has_key).
+std::vector<std::uint8_t> encode_session_state(
+    const service::SessionState& state);
+service::SessionState decode_session_state(
+    std::span<const std::uint8_t> payload);
+
 /// kProcessBatch: one wave of transcipher requests for one shard.
 struct ProcessBatchMsg {
   std::vector<service::TranscipherRequest> requests;
@@ -72,7 +81,6 @@ struct ShardReportMsg {
   std::uint64_t requests = 0;
   std::uint64_t blocks = 0;
   std::uint64_t batches = 0;
-  std::uint64_t cross_tenant_batches = 0;
   service::FaultStats faults;
 };
 
@@ -80,7 +88,7 @@ struct ShardReportMsg {
 struct ProcessResultMsg {
   std::vector<std::vector<std::uint8_t>> cts;  ///< serialized batch outputs
   std::vector<WireResult> results;             ///< one per request, in order
-  /// Key-less SessionState snapshots (serialize_session_state) of every
+  /// Key-less SessionState snapshots (encode_session_state) of every
   /// session this wave touched — the piggyback that keeps the router's
   /// replay-window cache current, so a later rebalance restores every
   /// acknowledged nonce.

@@ -20,7 +20,7 @@ Router::Router(const fhe::RnsContext& ctx, std::vector<FrameChannel> shards,
       installed_(shards_.size()) {}
 
 void Router::apply_session_update(std::span<const std::uint8_t> bytes) {
-  SessionState incoming = service::deserialize_session_state(bytes);
+  SessionState incoming = decode_session_state(bytes);
   SessionState& cached = cache_[incoming.client_id];
   cached.client_id = incoming.client_id;
   // The shard's window already holds every nonce the last install gave it,
@@ -70,7 +70,7 @@ bool Router::ensure_session(std::uint64_t client, std::string* error) {
     }
     try {
       shards_[owner].send(MsgType::kInstallSession,
-                          service::serialize_session_state(state));
+                          encode_session_state(state));
       auto ack_resp = shards_[owner].recv();
       if (!ack_resp || ack_resp->type != MsgType::kInstallAck) {
         throw WireError("shard closed during session install");

@@ -43,7 +43,7 @@ ShardServer::Exit ShardServer::serve(FrameChannel& ch) {
           AckMsg ack;
           try {
             const service::SessionState state =
-                service::deserialize_session_state(msg->payload);
+                decode_session_state(msg->payload);
             ack.ok = service_.import_session(state, &ack.error);
           } catch (const poe::Error& e) {
             ack.ok = false;
@@ -120,7 +120,7 @@ void ShardServer::handle_process_batch(FrameChannel& ch,
   for (const auto& req : batch.requests) {
     if (touched.insert(req.client_id).second &&
         service_.has_session(req.client_id)) {
-      out.session_updates.push_back(service::serialize_session_state(
+      out.session_updates.push_back(encode_session_state(
           service_.export_session(req.client_id, /*include_key=*/false)));
     }
   }
@@ -128,7 +128,6 @@ void ShardServer::handle_process_batch(FrameChannel& ch,
   out.report.requests = report.requests;
   out.report.blocks = report.blocks;
   out.report.batches = report.batches;
-  out.report.cross_tenant_batches = report.cross_tenant_batches;
   out.report.faults = report.faults;
   ch.send(MsgType::kProcessResult, encode_process_result(out));
 }

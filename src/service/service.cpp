@@ -26,110 +26,6 @@ double seconds_since(Clock::time_point t0) {
 constexpr std::size_t kPipelineDepth = 2;
 }  // namespace
 
-namespace {
-// Local little-endian helpers for the session-state wire form (the service
-// must not depend on src/net/, which sits above it).
-void put_u16(std::vector<std::uint8_t>& out, std::uint16_t v) {
-  out.push_back(static_cast<std::uint8_t>(v));
-  out.push_back(static_cast<std::uint8_t>(v >> 8));
-}
-void put_u32(std::vector<std::uint8_t>& out, std::uint32_t v) {
-  put_u16(out, static_cast<std::uint16_t>(v));
-  put_u16(out, static_cast<std::uint16_t>(v >> 16));
-}
-void put_u64(std::vector<std::uint8_t>& out, std::uint64_t v) {
-  put_u32(out, static_cast<std::uint32_t>(v));
-  put_u32(out, static_cast<std::uint32_t>(v >> 32));
-}
-
-struct StateReader {
-  std::span<const std::uint8_t> bytes;
-  std::size_t pos = 0;
-
-  std::size_t remaining() const { return bytes.size() - pos; }
-  std::span<const std::uint8_t> need(std::size_t n) {
-    POE_ENSURE(n <= remaining(), "truncated session state: need "
-                                     << n << " bytes, have " << remaining());
-    auto view = bytes.subspan(pos, n);
-    pos += n;
-    return view;
-  }
-  std::uint16_t u16() {
-    auto b = need(2);
-    return static_cast<std::uint16_t>(b[0] | (std::uint16_t{b[1]} << 8));
-  }
-  std::uint32_t u32() {
-    const std::uint32_t lo = u16();
-    const std::uint32_t hi = u16();
-    return lo | (hi << 16);
-  }
-  std::uint64_t u64() {
-    const std::uint64_t lo = u32();
-    const std::uint64_t hi = u32();
-    return lo | (hi << 32);
-  }
-};
-
-constexpr std::uint32_t kSessionMagic = 0x31534553;  // "SES1"
-constexpr std::uint16_t kSessionVersion = 1;
-}  // namespace
-
-std::vector<std::uint8_t> serialize_session_state(const SessionState& state) {
-  std::vector<std::uint8_t> out;
-  put_u32(out, kSessionMagic);
-  put_u16(out, kSessionVersion);
-  put_u16(out, state.has_key ? 1 : 0);
-  put_u64(out, state.client_id);
-  put_u64(out, state.requests_served);
-  put_u64(out, state.blocks_served);
-  POE_ENSURE(state.nonces.size() <= UINT32_MAX, "nonce window too large");
-  put_u32(out, static_cast<std::uint32_t>(state.nonces.size()));
-  for (const u64 nonce : state.nonces) put_u64(out, nonce);
-  if (state.has_key) {
-    POE_ENSURE(state.key_bytes.size() <= UINT32_MAX, "key bytes too large");
-    put_u32(out, static_cast<std::uint32_t>(state.key_bytes.size()));
-    out.insert(out.end(), state.key_bytes.begin(), state.key_bytes.end());
-  }
-  return out;
-}
-
-SessionState deserialize_session_state(std::span<const std::uint8_t> bytes) {
-  StateReader r{bytes};
-  POE_ENSURE(r.u32() == kSessionMagic, "bad session-state magic");
-  const std::uint16_t version = r.u16();
-  POE_ENSURE(version == kSessionVersion,
-             "unsupported session-state version " << version);
-  const std::uint16_t flags = r.u16();
-  POE_ENSURE((flags & ~1u) == 0, "unknown session-state flags");
-  SessionState state;
-  state.has_key = (flags & 1u) != 0;
-  state.client_id = r.u64();
-  state.requests_served = r.u64();
-  state.blocks_served = r.u64();
-  const std::uint32_t nonce_count = r.u32();
-  // Bound the untrusted count by the bytes actually present before it can
-  // size an allocation.
-  POE_ENSURE(std::uint64_t{nonce_count} * 8 <= r.remaining(),
-             "nonce count " << nonce_count << " exceeds the remaining "
-                            << r.remaining() << " bytes");
-  state.nonces.reserve(nonce_count);
-  for (std::uint32_t i = 0; i < nonce_count; ++i) {
-    state.nonces.push_back(r.u64());
-  }
-  if (state.has_key) {
-    const std::uint32_t key_len = r.u32();
-    POE_ENSURE(key_len <= r.remaining(),
-               "key length " << key_len << " exceeds the remaining "
-                             << r.remaining() << " bytes");
-    auto view = r.need(key_len);
-    state.key_bytes.assign(view.begin(), view.end());
-  }
-  POE_ENSURE(r.remaining() == 0, "session state has "
-                                     << r.remaining()
-                                     << " undeclared trailing bytes");
-  return state;
-}
-
 const char* to_string(RequestStatus s) {
   switch (s) {
     case RequestStatus::kOk: return "ok";
@@ -311,10 +207,7 @@ std::vector<TranscipherResult> TranscipherService::process(
   std::vector<TranscipherResult> results(requests.size());
   rep.request_latency_s.assign(requests.size(), 0);
   rep.requests = requests.size();
-  if (requests.empty()) {
-    rep.session_evictions = evictions_;
-    return results;
-  }
+  if (requests.empty()) return results;
 
   // ---- Admission: session lookup, nonce replay, request sanity, load
   // ---- shedding, block splitting. Rejections are typed per request —
@@ -694,7 +587,6 @@ std::vector<TranscipherResult> TranscipherService::process(
   rep.min_noise_budget_bits = evaluated_batches > 0 ? min_noise : 0;
   rep.predicted_min_budget_bits = evaluated_batches > 0 ? min_predicted : 0;
   rep.blocks_per_s = rep.total_s > 0 ? double(rep.blocks) / rep.total_s : 0;
-  rep.session_evictions = evictions_;
   rep.faults.injected =
       injector != nullptr ? injector->fired_total() - fired_before : 0;
   rep.exec_ops = exec.snapshot() - before;

@@ -96,8 +96,8 @@ struct TranscipherRequest {
 /// Everything a session must carry across a process boundary: the encrypted
 /// PASTA key (serialized enc(K) wire bytes), the nonce replay window and the
 /// serving stats. This is what a shard snapshot/restore and the router's
-/// rebalance-to-a-survivor move around; serialize_session_state gives it a
-/// versioned wire form. A state exported mid-batch is legitimate and safe:
+/// rebalance-to-a-survivor move around; net::encode_session_state gives it
+/// a versioned wire form. A state exported mid-batch is legitimate and safe:
 /// nonces are recorded at admission, so a snapshot taken before the batch
 /// finished carries the nonce with zero served blocks — restoring it keeps
 /// the replay rejection and simply loses the in-flight work.
@@ -109,12 +109,6 @@ struct SessionState {
   std::uint64_t requests_served = 0;    ///< kOk requests over the session
   std::uint64_t blocks_served = 0;      ///< blocks delivered to the client
 };
-
-/// Versioned wire form ("SES1" magic + u16 version). Deserialization
-/// bounds-checks every length field before allocating and throws poe::Error
-/// on damage — same hardening discipline as fhe/serialize.cpp.
-std::vector<std::uint8_t> serialize_session_state(const SessionState& state);
-SessionState deserialize_session_state(std::span<const std::uint8_t> bytes);
 
 /// Where one block of a request's message landed: a tile of a (possibly
 /// shared) batch output ciphertext.
@@ -199,7 +193,6 @@ struct ServiceReport {
   /// every deliverable's. Soundness invariant (CI-enforced): predicted <=
   /// measured.
   double predicted_min_budget_bits = 0;
-  std::size_t session_evictions = 0; ///< lifetime total at call end
   std::vector<double> request_latency_s;  ///< per request, call start -> done
   FaultStats faults;         ///< robustness-layer accounting
   /// ExecContext counter delta over the whole call (NTTs, key switches, ...).

@@ -223,13 +223,42 @@ TEST(AllocRegression, PipelinedServiceSteadyStateHasZeroPoolMisses) {
       << "the pipelined serving loop minted a new slab after warm-up";
 }
 
-// -------------------------------------------- scratch bank under concurrency
+// ------------------------------------------------- key-switch scratch slabs
+
+// A key switch and an affine layer draw their accumulators and per-limb
+// temporaries from the pool for the one call: once it returns, the only
+// slabs still lent out are its outputs' (none for an in-place rotation, two
+// parts per output of a diagonal sum). An evaluator holds no scratch of its
+// own between calls.
+TEST(AllocRegression, KeySwitchScratchGoesBackToThePool) {
+  const hhe::HheConfig config = hhe::HheConfig::test();
+  ExecContext exec;
+  fhe::Bgv bgv(config.bgv, &exec);
+  fhe::BatchEncoder encoder(config.bgv.n, config.bgv.t);
+  const fhe::GaloisKeys keys = bgv.make_rotation_keys({1, 2});
+
+  Xoshiro256 rng(2025);
+  const fhe::Plaintext pt =
+      encoder.encode(random_msg(rng, config.bgv.t, config.bgv.n));
+  fhe::Ciphertext ct = bgv.encrypt(pt);
+
+  const u64 before_rotation = exec.pool().outstanding();
+  bgv.rotate_columns_inplace(ct, 1, keys);
+  EXPECT_EQ(exec.pool().outstanding(), before_rotation);
+
+  // Two outputs, one with a k = 0 term and one without.
+  const std::vector<std::vector<fhe::Plaintext>> weights = {
+      {pt, pt}, {fhe::Plaintext{}, pt, pt}};
+  std::vector<fhe::Ciphertext> outs(weights.size());
+  const u64 before_sum = exec.pool().outstanding();
+  bgv.diagonal_sum(ct, weights, keys, outs);
+  EXPECT_EQ(exec.pool().outstanding(), before_sum + 2 * outs.size());
+}
 
 // Two workers hammer rotate_hoisted_into on ONE evaluator concurrently,
-// each reusing its own output. The per-Bgv scratch bank must lease each of
-// them a DISTINCT HoistScratch (the debug build asserts non-aliasing inside
-// ScratchLease); the outputs must stay bit-identical to a freshly
-// allocated single-threaded rotation.
+// each reusing its own output. Each call draws its own scratch slabs from
+// the pool, so no two rotations ever share one; the outputs must stay
+// bit-identical to a freshly allocated single-threaded rotation.
 TEST(AllocRegression, ConcurrentHoistedRotationsUseDistinctScratch) {
   const hhe::HheConfig config = hhe::HheConfig::test();
   ExecContext exec;

@@ -155,13 +155,13 @@ TEST(FaultDirected, AllocationFailureRecoversViaRetry) {
 }
 
 TEST(FaultDirected, HoistScratchAllocFailureRecoversViaRetry) {
-  // The key switch's scratch lease fails mid-affine-layer (the site fires
-  // on the first switch of the batch: the hoisted rotations of the first
-  // affine layer's Bgv::diagonal_sum, after the hoist and before any
-  // accumulator is built).
+  // The key switch's scratch draw fails mid-affine-layer (the site fires
+  // on the first draw of the batch: the first affine layer's
+  // Bgv::diagonal_sum, after the hoist and before any accumulator is
+  // built).
   // The evaluate stage must surface it as a typed stage failure and
-  // recover on retry — no UB from the half-built layer, no torn scratch
-  // left leased in the bank.
+  // recover on retry — no UB from the half-built layer, no slab lost from
+  // the pool.
   auto service = make_service(sequential_cfg());
   TestClient client(21, 121);
   ASSERT_TRUE(service.open_session_wire(client.id, client.key_wire()));
@@ -185,8 +185,8 @@ TEST(FaultDirected, HoistScratchAllocFailureRecoversViaRetry) {
 }
 
 TEST(FaultDirected, HoistScratchAllocFailureExhaustsToTypedFailure) {
-  // Every attempt's lease fails: the batch must degrade to kFailed with a
-  // descriptive error — a typed terminal status, never an escaped
+  // Every attempt's scratch draw fails: the batch must degrade to kFailed
+  // with a descriptive error — a typed terminal status, never an escaped
   // exception or a crash on the partially-accumulated state.
   auto service = make_service(sequential_cfg());
   TestClient client(22, 123);
@@ -210,7 +210,8 @@ TEST(FaultDirected, HoistScratchAllocFailureExhaustsToTypedFailure) {
   EXPECT_EQ(rep.faults.retries, 2u);
   expect_partition(rep);
 
-  // The bank must be clean after the failures: a fault-free call succeeds.
+  // The evaluator must be clean after the failures: a fault-free call
+  // succeeds.
   const auto retry = service.process(std::vector{client.request(2, msg)});
   ASSERT_TRUE(retry[0].ok()) << retry[0].error;
   EXPECT_EQ(decode_all(retry[0]), msg);

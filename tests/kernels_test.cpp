@@ -358,7 +358,7 @@ TEST(KernelKsw, AccumulateMatchesNaiveWithAndWithoutPerm) {
 TEST(KernelKsw, OverwriteModeIgnoresDestinationGarbage) {
   // seedX=false must produce exactly the accumulate-into-zero result no
   // matter what bits dst held before the call — the overwrite-mode ksw in
-  // the hoisted-rotation hot path writes into UNINITIALISED leased scratch.
+  // the hoisted-rotation hot path writes into UNINITIALISED pool slabs.
   Xoshiro256 rng(107);
   for (const u64 q : test_moduli(64)) {
     const Modulus m(q);

@@ -212,6 +212,64 @@ TEST(Messages, SmallCodecsRoundTrip) {
   }
 }
 
+// The session-state wire form ("SES1" v1) is the kInstallSession payload
+// and every piggybacked session update. Its bytes are pinned field by
+// field, one keyed and one key-less state, so a codec change that would
+// misread a state an older build wrote fails here.
+TEST(Messages, SessionStateGoldenBytes) {
+  service::SessionState keyed;
+  keyed.client_id = 0x0102030405060708ull;
+  keyed.has_key = true;
+  keyed.key_bytes = {0xAA, 0xBB, 0xCC};
+  keyed.nonces = {5, 0x1122334455667788ull};
+  keyed.requests_served = 3;
+  keyed.blocks_served = 0x10203;
+  const std::vector<u8> keyed_bytes = {
+      0x53, 0x45, 0x53, 0x31,                          // "SES1"
+      0x01, 0x00,                                      // version 1
+      0x01, 0x00,                                      // flags: has_key
+      0x08, 0x07, 0x06, 0x05, 0x04, 0x03, 0x02, 0x01,  // client_id
+      0x03, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,  // requests_served
+      0x03, 0x02, 0x01, 0x00, 0x00, 0x00, 0x00, 0x00,  // blocks_served
+      0x02, 0x00, 0x00, 0x00,                          // nonce count
+      0x05, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,  // oldest nonce
+      0x88, 0x77, 0x66, 0x55, 0x44, 0x33, 0x22, 0x11,  // newest nonce
+      0x03, 0x00, 0x00, 0x00, 0xAA, 0xBB, 0xCC,        // enc(K) blob
+  };
+  EXPECT_EQ(encode_session_state(keyed), keyed_bytes);
+  const service::SessionState back = decode_session_state(keyed_bytes);
+  EXPECT_EQ(back.client_id, keyed.client_id);
+  EXPECT_TRUE(back.has_key);
+  EXPECT_EQ(back.key_bytes, keyed.key_bytes);
+  EXPECT_EQ(back.nonces, keyed.nonces);
+  EXPECT_EQ(back.requests_served, keyed.requests_served);
+  EXPECT_EQ(back.blocks_served, keyed.blocks_served);
+
+  service::SessionState update;  // the key-less piggyback form
+  update.client_id = 9;
+  update.nonces = {7};
+  update.requests_served = 2;
+  update.blocks_served = 17;
+  const std::vector<u8> update_bytes = {
+      0x53, 0x45, 0x53, 0x31,                          // "SES1"
+      0x01, 0x00,                                      // version 1
+      0x00, 0x00,                                      // flags: no key
+      0x09, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,  // client_id
+      0x02, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,  // requests_served
+      0x11, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,  // blocks_served
+      0x01, 0x00, 0x00, 0x00,                          // nonce count
+      0x07, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,  // the nonce
+  };
+  EXPECT_EQ(encode_session_state(update), update_bytes);
+  const service::SessionState back2 = decode_session_state(update_bytes);
+  EXPECT_EQ(back2.client_id, update.client_id);
+  EXPECT_FALSE(back2.has_key);
+  EXPECT_TRUE(back2.key_bytes.empty());
+  EXPECT_EQ(back2.nonces, update.nonces);
+  EXPECT_EQ(back2.requests_served, update.requests_served);
+  EXPECT_EQ(back2.blocks_served, update.blocks_served);
+}
+
 TEST(Messages, ProcessBatchRoundTrip) {
   ProcessBatchMsg m;
   m.requests.push_back(

@@ -10,6 +10,7 @@
 #include "common/rng.hpp"
 #include "fhe/serialize.hpp"
 #include "hhe/batched_server.hpp"
+#include "net/messages.hpp"
 #include "service/pipeline.hpp"
 #include "service/service.hpp"
 
@@ -929,8 +930,8 @@ TEST(SessionStateTest, WireRoundTripWithAndWithoutKey) {
   full.requests_served = 11;
   full.blocks_served = 23;
 
-  const auto bytes = serialize_session_state(full);
-  const SessionState back = deserialize_session_state(bytes);
+  const auto bytes = net::encode_session_state(full);
+  const SessionState back = net::decode_session_state(bytes);
   EXPECT_EQ(back.client_id, full.client_id);
   EXPECT_TRUE(back.has_key);
   EXPECT_EQ(back.key_bytes, full.key_bytes);
@@ -942,7 +943,7 @@ TEST(SessionStateTest, WireRoundTripWithAndWithoutKey) {
   update.client_id = 43;
   update.nonces = {1};
   const SessionState back2 =
-      deserialize_session_state(serialize_session_state(update));
+      net::decode_session_state(net::encode_session_state(update));
   EXPECT_EQ(back2.client_id, 43u);
   EXPECT_FALSE(back2.has_key);
   EXPECT_TRUE(back2.key_bytes.empty());
@@ -955,33 +956,33 @@ TEST(SessionStateTest, WireRejectsDamageTyped) {
   state.has_key = true;
   state.key_bytes = {10, 20, 30};
   state.nonces = {1, 2};
-  const auto good = serialize_session_state(state);
+  const auto good = net::encode_session_state(state);
 
   {  // bad magic
     auto b = good;
     b[0] ^= 0xFF;
-    EXPECT_THROW(deserialize_session_state(b), poe::Error);
+    EXPECT_THROW(net::decode_session_state(b), poe::Error);
   }
   {  // unsupported version
     auto b = good;
     b[4] = 0x7F;
-    EXPECT_THROW(deserialize_session_state(b), poe::Error);
+    EXPECT_THROW(net::decode_session_state(b), poe::Error);
   }
   {  // unknown flag bits
     auto b = good;
     b[7] = 0x80;
-    EXPECT_THROW(deserialize_session_state(b), poe::Error);
+    EXPECT_THROW(net::decode_session_state(b), poe::Error);
   }
   {  // every truncation is caught, none crashes or misparses
     for (std::size_t n = 0; n < good.size(); ++n) {
       EXPECT_THROW(
-          deserialize_session_state(std::span(good).first(n)), poe::Error);
+          net::decode_session_state(std::span(good).first(n)), poe::Error);
     }
   }
   {  // trailing bytes
     auto b = good;
     b.push_back(0);
-    EXPECT_THROW(deserialize_session_state(b), poe::Error);
+    EXPECT_THROW(net::decode_session_state(b), poe::Error);
   }
 }
 
@@ -992,13 +993,13 @@ TEST(SessionStateTest, ExportImportMovesReplayWindowAndStats) {
   const auto msg = random_msg(stack().config.pasta.t + 1, 702);
   ASSERT_TRUE(source.process(std::vector{client.request(1, msg)})[0].ok());
 
-  const auto bytes = serialize_session_state(
+  const auto bytes = net::encode_session_state(
       source.export_session(client.id, /*include_key=*/true));
 
   // A brand-new "process" restores the session purely from the snapshot.
   auto restored = make_service();
   std::string error;
-  ASSERT_TRUE(restored.import_session(deserialize_session_state(bytes), &error))
+  ASSERT_TRUE(restored.import_session(net::decode_session_state(bytes), &error))
       << error;
   ASSERT_TRUE(restored.has_session(client.id));
 
